@@ -246,10 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, shards=True, budget=True):
         p.add_argument("--format", choices=("json", "tsv"), default="json")
-        p.add_argument("--shards", type=int, default=1)
-        p.add_argument("--budget", type=int, default=None)
+        if shards:
+            p.add_argument("--shards", type=int, default=1)
+        if budget:
+            p.add_argument("--budget", type=int, default=None)
 
     p = sub.add_parser("series", help="evaluate a closed-form series by id")
     p.add_argument("--id", required=True)
@@ -258,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc", type=int, default=6, help="t truncation order")
     p.add_argument("--u-trunc", type=int, default=None)
     p.add_argument("--q-trunc", type=int, default=None)
-    common(p)
+    common(p, shards=False, budget=False)
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("oracle", help="count matrix points exhaustively")
@@ -280,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qparam", type=int, default=None)
     p.add_argument("--length", type=int, default=32)
     p.add_argument("--k", type=int, default=None)
-    common(p)
+    common(p, shards=False, budget=False)
     p.set_defaults(func=_cmd_dirichlet)
 
     p = sub.add_parser("verify", help="run a named verification suite")
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conj", help="conjugacy classes of Aut of a module")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--type", required=True, help="partition, e.g. 2,1")
-    common(p)
+    common(p, shards=False)
     p.set_defaults(func=_cmd_conj)
 
     return parser

@@ -37,7 +37,7 @@ class NonUnitFactorError(DirichletError):
     """An Euler factor whose leading coefficient is not 1."""
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     d = 2
@@ -49,7 +49,7 @@ def _is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if _is_prime(p)]
+    return [p for p in range(2, n + 1) if is_prime(p)]
 
 
 def is_prime_power(n: int) -> bool:
@@ -78,7 +78,7 @@ class BaseRing:
             if self.param is not None:
                 raise ValueError("Z takes no parameter")
         elif self.kind == "Zp":
-            if not (isinstance(self.param, int) and _is_prime(self.param)):
+            if not (isinstance(self.param, int) and is_prime(self.param)):
                 raise ValueError("Zp requires a prime parameter")
         elif self.kind in ("FqPoly", "FqPowerSeries"):
             if not (isinstance(self.param, int) and is_prime_power(self.param)):
@@ -285,7 +285,7 @@ def euler_product(
     """
     locals_: dict[int, list[Fraction]] = {}
     for p, cs in factors.items():
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"Euler factor index {p} is not prime")
         cs = [Fraction(c) for c in cs]
         if not cs or cs[0] != 1:
@@ -366,7 +366,7 @@ def local_polynomial_ring_coefficients(
 def local_cl_coefficient(p: int, k: int) -> Fraction:
     """The p^(-ks) coefficient of the polynomial-ring Cohen-Lenstra zeta
     over Z, computed purely locally."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError("p must be prime")
     if k < 0:
         raise ValueError("k must be nonnegative")

@@ -4,8 +4,16 @@ A module of type lam over Z_p is the direct sum of Z/p^(lam_i).  Elements
 are coordinate tuples; an endomorphism is stored as the tuple of images of
 the standard generators, which is a well-defined endomorphism exactly when
 the j-th image is killed by p^(lam_j).  Those image lists are produced by
-filtering the raw element set, so the counts below are genuine enumerations,
-independent of the closed-form orders they are tested against.
+filtering the raw element set, and endomorphism counts are products of
+their sizes, so the counts below are independent of the closed-form orders
+they are tested against.
+
+Generating tuples are counted by Moebius inversion over the lattice of
+submodules invariant under a set of endomorphisms (P. Hall, 1936): the
+number of d-tuples generating N is the sum over members H of
+mu(H, N) * |H|^d.  With no endomorphisms the lattice is every subgroup and
+the count gives the surjection probability; with a commuting pair (A, B) it
+gives the stable framings of ``framing``.
 """
 
 from __future__ import annotations
@@ -15,31 +23,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ..dirichlet import is_prime
 from ..partitions import Partition
 from ..series import qpoch_value
 from . import budget as _budget
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class PGroupModule:
     """Finite module over Z_p of type ``lam``: the direct sum of
     Z/p^(lam_i).  pi acts as multiplication by p."""
 
-    #: largest module size for which the index/addition tables are built
-    _TABLE_LIMIT = 4096
-
     def __init__(self, p: int, lam):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError("p must be prime")
         if not isinstance(lam, Partition):
             lam = Partition(lam)
@@ -47,7 +42,6 @@ class PGroupModule:
         self.type = lam
         self.moduli = tuple(p**e for e in lam.parts)
         self.size = math.prod(self.moduli) if self.moduli else 1
-        self._tables = None
 
     def __repr__(self):
         return f"PGroupModule(p={self.p}, type={self.type.parts})"
@@ -72,57 +66,6 @@ class PGroupModule:
         """Elements killed by p^b, found by filtering the whole module."""
         pb = self.p**b
         return [x for x in self.elements() if all((pb * a) % m == 0 for a, m in zip(x, self.moduli))]
-
-    def subgroup_generated(self, gens) -> frozenset:
-        """Closure of a generating set under addition (equivalently, the
-        Z_p-submodule generated, since pi acts by repeated addition)."""
-        seen = {self.zero}
-        queue = [self.zero]
-        gens = list(gens)
-        while queue:
-            x = queue.pop()
-            for v in gens:
-                y = self.add(x, v)
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return frozenset(seen)
-
-    def index_tables(self):
-        """Element list, element -> index map, and the index-level addition
-        table (built lazily; only for modules up to _TABLE_LIMIT elements)."""
-        if self._tables is None:
-            if self.size > self._TABLE_LIMIT:
-                raise ValueError(f"module too large for tables ({self.size})")
-            elems = list(self.elements())
-            index = {x: i for i, x in enumerate(elems)}
-            add = [
-                tuple(index[self.add(x, y)] for y in elems) for x in elems
-            ]
-            self._tables = (elems, index, add)
-        return self._tables
-
-    def generated_subgroup_size(self, gen_indices) -> int:
-        """Size of the subgroup generated by the elements at the given
-        indices, by table-driven closure under adding the generators."""
-        _, _, add = self.index_tables()
-        seen = bytearray(self.size)
-        seen[0] = 1
-        count = 1
-        queue = [0]
-        full = self.size
-        while queue:
-            x = queue.pop()
-            row = add[x]
-            for g in gen_indices:
-                y = row[g]
-                if not seen[y]:
-                    seen[y] = 1
-                    count += 1
-                    if count == full:
-                        return count
-                    queue.append(y)
-        return count
 
     # -- endomorphisms ----------------------------------------------------
 
@@ -202,26 +145,25 @@ def enumerate_endomorphisms(
     b: int | None = None,
     budget: int | None = None,
 ) -> int:
-    """Count endomorphisms by enumeration.
+    """Count endomorphisms from the enumerated generator image lists.
 
     mode: "all", "invertible", or "torsion" (with b >= 1, counting the maps
-    killed by pi^b).
+    killed by pi^b).  "all" and "torsion" multiply per-generator list sizes,
+    since the images are chosen independently; "invertible" walks every map.
     """
     needed = module.endo_count_bound()
     _budget.check("enumerate_endomorphisms", needed, budget, _budget.DEFAULT_ENDO_BUDGET)
     if mode == "all":
-        return sum(1 for _ in module.endomorphisms())
+        return math.prod(len(c) for c in module.generator_image_choices())
     if mode == "invertible":
         return sum(1 for e in module.endomorphisms() if module.endo_invertible(e))
     if mode == "torsion":
         if b is None or b < 1:
             raise ValueError("torsion mode needs b >= 1")
-        pb = module.p**b
-        moduli = module.moduli
-        def killed(v):
-            return all((pb * a) % m == 0 for a, m in zip(v, moduli))
-        return sum(
-            1 for e in module.endomorphisms() if all(killed(v) for v in e)
+        # a map is killed by pi^b iff every generator image is
+        killed = set(module.torsion_elements(b))
+        return math.prod(
+            sum(1 for v in c if v in killed) for c in module.generator_image_choices()
         )
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -286,6 +228,84 @@ def conj_classes_aut(module: PGroupModule, budget: int | None = None) -> int:
     return classes
 
 
+def _orbit(module: PGroupModule, x, endos) -> set:
+    """x together with its images under every word in ``endos``."""
+    seen = {x}
+    queue = [x]
+    while queue:
+        y = queue.pop()
+        for e in endos:
+            z = module.apply(e, y)
+            if z not in seen:
+                seen.add(z)
+                queue.append(z)
+    return seen
+
+
+def _extend_span(module: PGroupModule, span: frozenset, gens) -> frozenset:
+    """Additive span of the subgroup ``span`` and ``gens``: each new
+    generator g adds the cosets span + c*g for c below its order mod span."""
+    for g in gens:
+        if g in span:
+            continue
+        grown = set(span)
+        shift = g
+        while shift not in span:
+            grown.update(module.add(h, shift) for h in span)
+            shift = module.add(shift, g)
+        span = frozenset(grown)
+    return span
+
+
+def _invariant_lattice(module: PGroupModule, endos, budget: int | None = None):
+    """All submodules of N invariant under ``endos``, as frozensets, smallest
+    first (so N is last).
+
+    Walk from {0}: each member H is joined with one representative x of
+    every coset x + H, since all of a coset give the same join.  The join is
+    H plus the additive span of the ``endos``-orbit of x, which is again
+    invariant.  The Moebius pass over the result is quadratic in its length
+    L, so the walk stops with BudgetExceededError once L^2 exceeds the
+    surjection budget.
+    """
+    limit = _budget.resolve(budget, _budget.DEFAULT_SURJ_BUDGET)
+    elems = list(module.elements())
+    bottom = frozenset([module.zero])
+    members = {bottom}
+    queue = [bottom]
+    while queue:
+        h = queue.pop()
+        covered = set()
+        for x in elems:
+            if x in covered:
+                continue
+            covered.update(module.add(x, y) for y in h)
+            join = _extend_span(module, h, _orbit(module, x, endos))
+            if join not in members:
+                members.add(join)
+                if len(members) ** 2 > limit:
+                    raise _budget.BudgetExceededError(
+                        "invariant_lattice", len(members) ** 2, limit
+                    )
+                queue.append(join)
+    return sorted(members, key=len)
+
+
+def generating_tuple_count(
+    module: PGroupModule, endos, d: int, budget: int | None = None
+) -> int:
+    """Number of d-tuples of elements whose closure under addition and
+    ``endos`` is all of N: the sum over invariant submodules H of
+    mu(H, N) * |H|^d, since |H|^d counts the tuples lying in H."""
+    lattice = _invariant_lattice(module, endos, budget)
+    mu = [0] * len(lattice)
+    mu[-1] = 1  # mu(N, N)
+    for i in range(len(lattice) - 2, -1, -1):
+        h = lattice[i]
+        mu[i] = -sum(m for k, m in zip(lattice[i + 1 :], mu[i + 1 :]) if m and h < k)
+    return sum(m * len(h) ** d for h, m in zip(lattice, mu))
+
+
 @dataclass(frozen=True)
 class SurjProbResult:
     enumerated: Fraction | None  # None when the enumeration exceeded budget
@@ -298,9 +318,9 @@ def surj_prob(module: PGroupModule, d: int, budget: int | None = None) -> SurjPr
 
     The closed form is (q^-(d-r+1); q^-1)_r with r the minimal number of
     generators (the length of the type), and 0 when d < r.  The enumerated
-    value walks every d-multiset of elements, tests generation by subgroup
-    closure, and weights by the number of orderings; it is skipped (None)
-    when |N|^d exceeds the budget.
+    value is ``generating_tuple_count`` over the lattice of all subgroups,
+    divided by |N|^d; it is skipped (None) when |N|^d exceeds the budget or
+    the lattice outgrows it.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
@@ -316,21 +336,8 @@ def surj_prob(module: PGroupModule, d: int, budget: int | None = None) -> SurjPr
     if space > limit:
         return SurjProbResult(None, closed, space)
 
-    use_tables = module.size <= module._TABLE_LIMIT
-    generating = 0
-    elems = list(module.elements())
-    for combo in itertools.combinations_with_replacement(range(module.size), d):
-        if use_tables:
-            generates = module.generated_subgroup_size(combo) == module.size
-        else:
-            gens = [elems[i] for i in combo]
-            generates = len(module.subgroup_generated(gens)) == module.size
-        if generates:
-            counts: dict[int, int] = {}
-            for i in combo:
-                counts[i] = counts.get(i, 0) + 1
-            arrangements = math.factorial(d)
-            for c in counts.values():
-                arrangements //= math.factorial(c)
-            generating += arrangements
+    try:
+        generating = generating_tuple_count(module, (), d, budget=limit)
+    except _budget.BudgetExceededError:
+        return SurjProbResult(None, closed, space)
     return SurjProbResult(Fraction(generating, space), closed, space)

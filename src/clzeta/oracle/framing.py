@@ -11,11 +11,10 @@ finite-index submodules of the rank-d free module with quotient N.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import budget as _budget
-from .endomorphisms import PGroupModule, automorphisms
+from .endomorphisms import PGroupModule, automorphisms, generating_tuple_count
 from .relations import RelationSystem, parse_relations
 
 
@@ -97,73 +96,34 @@ def _closure(module: PGroupModule, gens, endos):
     return frozenset(seen)
 
 
-def _invariant_lattice(module: PGroupModule, A, B):
-    """All submodules of N invariant under A and B, as frozensets."""
-    endos = (A, B)
-    subs = {_closure(module, [], endos)}
-    for x in module.elements():
-        subs.add(_closure(module, [x], endos))
-    changed = True
-    while changed:
-        changed = False
-        current = list(subs)
-        for s1 in current:
-            for s2 in current:
-                if s1 is s2:
-                    continue
-                if not (s1 <= s2 or s2 <= s1):
-                    join = _closure(module, set(s1) | set(s2), endos)
-                    if join not in subs:
-                        subs.add(join)
-                        changed = True
-    return list(subs)
-
-
-def _stable_tuple_count(module: PGroupModule, A, B, d: int) -> int:
+def _stable_tuple_count(module: PGroupModule, A, B, d: int, budget=None) -> int:
     """Number of d-tuples generating N under (A, B), by Moebius inversion
-    over the invariant-submodule lattice: |W|^d counts the tuples lying in
-    W, and inclusion-exclusion extracts those whose closure is exactly N."""
-    lattice = _invariant_lattice(module, A, B)
-    full = frozenset(module.elements())
-    if full not in lattice:
-        lattice.append(full)
-    lattice.sort(key=len)
-    mu: dict[frozenset, int] = {}
-
-    def moebius_to_top(v):
-        got = mu.get(v)
-        if got is not None:
-            return got
-        if v == full:
-            mu[v] = 1
-            return 1
-        acc = 0
-        for w in lattice:
-            if v < w:
-                acc += moebius_to_top(w)
-        mu[v] = -acc
-        return mu[v]
-
-    total = 0
-    for w in lattice:
-        total += moebius_to_top(w) * len(w) ** d
-    return total
+    over the lattice of (A, B)-invariant submodules."""
+    return generating_tuple_count(module, (A, B), d, budget=budget)
 
 
-def _stable_tuple_count_direct(module: PGroupModule, A, B, d: int) -> int:
-    """Reference implementation: walk every tuple and test its closure."""
+def _stable_tuple_count_direct(module: PGroupModule, endos, d: int) -> int:
+    """Reference implementation: walk every tuple and test whether its
+    closure under addition and ``endos`` is N.  The closure is built one
+    element at a time, as closure(S + x) = closure(closure(S) + x)."""
     elems = list(module.elements())
-    count = 0
-    cache: dict[frozenset, bool] = {}
-    for tup in itertools.product(elems, repeat=d):
-        key = frozenset(tup)
-        good = cache.get(key)
-        if good is None:
-            good = len(_closure(module, key, (A, B))) == module.size
-            cache[key] = good
-        if good:
-            count += 1
-    return count
+    cache: dict[frozenset, frozenset] = {}
+
+    def close(span, x):
+        if x in span:
+            return span
+        key = span | {x}
+        got = cache.get(key)
+        if got is None:
+            got = cache[key] = _closure(module, key, endos)
+        return got
+
+    def walk(span, k):
+        if k == d:
+            return int(len(span) == module.size)
+        return sum(walk(close(span, x), k + 1) for x in elems)
+
+    return walk(_closure(module, (), endos), 0)
 
 
 def stable_framing_stats(
@@ -172,14 +132,9 @@ def stable_framing_stats(
     d: int,
     *,
     budget: int | None = None,
-    method: str = "lattice",
 ) -> FramingStats:
-    """Count framed relation points and the stable ones among them.
-
-    ``method`` is "lattice" (Moebius inversion over invariant submodules) or
-    "direct" (per-tuple closure; needs |N|^d within budget).  Both test
-    stability by generator-application closure and agree exactly.
-    """
+    """Count framed relation points and the stable ones among them, the
+    latter per point by Moebius inversion over its invariant submodules."""
     if isinstance(system, str):
         system = parse_relations(system)
     if d < 0:
@@ -187,21 +142,7 @@ def stable_framing_stats(
     points = relation_points(system, module, budget=budget)
     auts = automorphisms(module, budget=budget)
     size_d = module.size**d
-    stable = 0
-    if method == "lattice":
-        for A, B in points:
-            stable += _stable_tuple_count(module, A, B, d)
-    elif method == "direct":
-        _budget.check(
-            "stable_framing_stats[direct]",
-            size_d * max(len(points), 1),
-            budget,
-            _budget.DEFAULT_SURJ_BUDGET,
-        )
-        for A, B in points:
-            stable += _stable_tuple_count_direct(module, A, B, d)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    stable = sum(_stable_tuple_count(module, A, B, d, budget) for A, B in points)
     aut_order = len(auts)
     if stable % aut_order:
         raise AssertionError(

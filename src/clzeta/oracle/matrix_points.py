@@ -24,8 +24,10 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ..dirichlet import is_prime
 from ..series import TruncSeries, VarSpec
 from . import budget as _budget
+from ._kernels_py import _mat_mul
 from .relations import RelationSystem, parse_relations
 
 if os.environ.get("CLZETA_FORCE_PY"):
@@ -42,17 +44,6 @@ KERNEL_COMPILED = bool(getattr(_kernels, "COMPILED", False))
 
 def kernel_name() -> str:
     return "cython" if KERNEL_COMPILED else "python"
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def gl_order(n: int, q: int) -> int:
@@ -146,17 +137,6 @@ def _count_linear(system: RelationSystem, n: int, p: int, shards: int):
     return CountResult(value, "linear-in-B", p**nn, rejected, inconsistent)
 
 
-def _mat_mul(x, y, n, p):
-    out = [0] * (n * n)
-    for i in range(n):
-        for k in range(n):
-            a = x[i * n + k]
-            if a:
-                for j in range(n):
-                    out[i * n + j] = (out[i * n + j] + a * y[k * n + j]) % p
-    return out
-
-
 def _mat_pow(x, e, n, p):
     out = [0] * (n * n)
     for i in range(n):
@@ -232,7 +212,7 @@ def count_matrix_points(
     """
     if isinstance(system, str):
         system = parse_relations(system)
-    if not _is_prime(q):
+    if not is_prime(q):
         raise ValueError("the matrix oracle supports prime q only")
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -60,6 +60,11 @@ class TestSeriesCommand:
         code, _, err = run(capsys, "series", "--id", "fat-line")
         assert code == 2
 
+    def test_unused_options_are_rejected(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["series", "--id", "line", "--q", "3", "--shards", "2"])
+        assert err.value.code == 2
+
     def test_reproducible_payload(self, capsys):
         reports = []
         for _ in range(2):

@@ -14,6 +14,8 @@ from clzeta.oracle import (
     module_groupoid_count,
     surj_prob,
 )
+from clzeta.oracle.endomorphisms import generating_tuple_count
+from clzeta.oracle.framing import _stable_tuple_count_direct
 from clzeta.partitions import (
     Partition,
     aut_order,
@@ -150,6 +152,12 @@ class TestSurjProb:
         assert res.enumerated is None
         assert res.closed_form > 0
 
+    def test_lattice_budget_skips_enumeration(self):
+        # |N|^1 = 256 fits the budget, but (Z/2)^8 has far more than
+        # 2^5 subgroups, so the lattice walk stops early
+        res = surj_prob(PGroupModule(2, Partition((1,) * 8)), 1, budget=2**10)
+        assert res.enumerated is None
+
     def test_tail_bound(self):
         for p in (2, 3):
             for lam in partitions_up_to(3):
@@ -160,3 +168,14 @@ class TestSurjProb:
                     res = surj_prob(m, d, budget=2**14)
                     bound = 2 * m.size * math.log(m.size) * 2.0 ** (-d)
                     assert float(1 - res.closed_form) <= bound
+
+
+class TestGeneratingTupleCount:
+    def test_lattice_sum_matches_per_tuple_closure(self):
+        for p in (2, 3):
+            for lam in partitions_up_to(3):
+                m = PGroupModule(p, lam)
+                for d in range(4):
+                    assert generating_tuple_count(m, (), d) == _stable_tuple_count_direct(
+                        m, (), d
+                    )

@@ -48,27 +48,29 @@ class TestStability:
         assert stats.aut_order == 1
         assert stats.quot_count == 4
 
-    def test_methods_agree(self):
-        m = PGroupModule(2, Partition((1, 1)))
-        for d in (1, 2, 3):
-            lattice = stable_framing_stats("A*B - B*A", m, d, method="lattice")
-            direct = stable_framing_stats("A*B - B*A", m, d, method="direct")
+    @staticmethod
+    def _assert_lattice_sum_is_direct(m, ds):
+        points = relation_points("A*B - B*A", m)
+        for d in ds:
+            lattice = sum(_stable_tuple_count(m, a, b, d) for a, b in points)
+            direct = sum(_stable_tuple_count_direct(m, (a, b), d) for a, b in points)
             assert lattice == direct
+            assert stable_framing_stats("A*B - B*A", m, d).stable == lattice
+
+    def test_methods_agree(self):
+        self._assert_lattice_sum_is_direct(PGroupModule(2, Partition((1, 1))), (1, 2, 3))
 
     def test_methods_agree_mixed_module(self):
-        m = PGroupModule(2, Partition((2,)))
-        for d in (1, 2):
-            lattice = stable_framing_stats("A*B - B*A", m, d, method="lattice")
-            direct = stable_framing_stats("A*B - B*A", m, d, method="direct")
-            assert lattice == direct
+        self._assert_lattice_sum_is_direct(PGroupModule(2, Partition((2,))), (1, 2))
 
     def test_tuple_counters_agree_per_point(self):
-        m = PGroupModule(2, Partition((1, 1)))
-        for a, b in relation_points("A*B - B*A", m)[:20]:
-            for d in (1, 2):
-                assert _stable_tuple_count(m, a, b, d) == _stable_tuple_count_direct(
-                    m, a, b, d
-                )
+        for p, lam in [(2, (1, 1)), (2, (2, 1)), (3, (1, 1))]:
+            m = PGroupModule(p, Partition(lam))
+            for a, b in relation_points("A*B - B*A", m)[:20]:
+                for d in (1, 2):
+                    assert _stable_tuple_count(m, a, b, d) == _stable_tuple_count_direct(
+                        m, (a, b), d
+                    )
 
     def test_freeness_divisibility(self):
         m = PGroupModule(2, Partition((1, 1)))
