@@ -1,28 +1,15 @@
-# Builds the optional Cython kernel for the matrix-point oracle.
-# The package works without it (a pure-Python kernel is selected at import);
-# build in place with:  python setup.py build_ext --inplace
+# Builds the optional C kernel for the matrix-point oracle.  The extension is
+# optional: without a C compiler the build skips it and the package uses the
+# pure-Python kernel.  Build in place with:  python setup.py build_ext --inplace
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-    from setuptools import Extension
-
-    extensions = cythonize(
-        [
-            Extension(
-                "clzeta.oracle._kernels",
-                sources=["src/clzeta/oracle/_kernels.pyx"],
-            )
-        ],
-        compiler_directives={
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-            "language_level": "3",
-        },
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension(
+            "clzeta.oracle._kernels",
+            sources=["src/clzeta/oracle/_kernels.c"],
+            optional=True,
+        )
+    ]
+)

@@ -3,9 +3,10 @@
 Subcommands: series (closed-form generating functions), oracle (exhaustive
 counts), dirichlet (zeta prefixes), verify (named verification suites), and
 conj (conjugacy-class counts).  Reports echo the resolved parameters and are
-bit-for-bit reproducible apart from the top-level elapsed_ms field, which
-lives outside the comparison payload.  Exit codes: 0 success, 1 verification
-mismatch, 2 usage or infeasible-budget error.
+bit-for-bit reproducible apart from the top-level elapsed_ms field and, in
+oracle and verify reports, the kernel field naming the counting kernel that
+ran; both live outside the comparison payload.  Exit codes: 0 success,
+1 verification mismatch, 2 usage or infeasible-budget error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ from fractions import Fraction
 from . import dirichlet as dd
 from . import formulas as fb
 from . import verify as vf
-from .oracle import BudgetExceededError, count_matrix_points, matrix_point_series
+from .oracle import (
+    BudgetExceededError,
+    count_matrix_points,
+    kernel_name,
+    matrix_point_series,
+)
 from .oracle.endomorphisms import PGroupModule, conj_classes_aut
 from .partitions import Partition
 from .series import TruncSeries
@@ -41,7 +47,7 @@ def _dirichlet_tsv(series: dd.DirichletSeries) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, command: dict, result, checks=None, started=None) -> int:
+def _emit(args, command: dict, result, checks=None, started=None, kernel=None) -> int:
     elapsed_ms = round((time.monotonic() - started) * 1000.0, 3) if started else None
     failed = [c for c in (checks or []) if not c.passed]
     if args.format == "json":
@@ -51,6 +57,8 @@ def _emit(args, command: dict, result, checks=None, started=None) -> int:
             report["verdict"] = "pass" if not failed else "fail"
         if elapsed_ms is not None:
             report["elapsed_ms"] = elapsed_ms
+        if kernel is not None:
+            report["kernel"] = kernel
         print(json.dumps(report))
     else:
         if isinstance(result, str):
@@ -116,12 +124,12 @@ def _cmd_oracle(args) -> int:
         )
         if args.format == "tsv":
             payload = f"{args.n}\t{res.value}\t1"
-        return _emit(args, command, payload, started=started)
+        return _emit(args, command, payload, started=started, kernel=kernel_name())
     series = matrix_point_series(
         args.relations, args.q, args.nmax, shards=args.shards, budget=args.budget
     )
     payload = series.to_json_dict() if args.format == "json" else _series_tsv(series)
-    return _emit(args, command, payload, started=started)
+    return _emit(args, command, payload, started=started, kernel=kernel_name())
 
 
 _RINGS = {
@@ -215,7 +223,9 @@ def _cmd_verify(args) -> int:
         "checks": len(checks),
         "failed": sum(1 for c in checks if not c.passed),
     }
-    return _emit(args, command, summary, checks=checks, started=started)
+    return _emit(
+        args, command, summary, checks=checks, started=started, kernel=kernel_name()
+    )
 
 
 def _cmd_conj(args) -> int:

@@ -201,10 +201,6 @@ class DirichletSeries:
         return cls([Fraction(c) for c in d["a"]])
 
 
-def dir_mul(f: DirichletSeries, g: DirichletSeries) -> DirichletSeries:
-    return f * g
-
-
 def shift(
     f: DirichletSeries, m: int, n: int, length: int | None = None
 ) -> DirichletSeries:

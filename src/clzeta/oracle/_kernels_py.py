@@ -1,6 +1,6 @@
 """Pure-Python counting kernel for the matrix-point oracle.
 
-Same contract as the compiled Cython module ``_kernels``; the package picks
+Same contract as the compiled C module ``_kernels``; the package picks
 whichever is importable (see ``clzeta.oracle.matrix_points``).  The kernel
 walks a contiguous odometer range of the A-matrix space, filters A by the
 A-only relations, assembles the stacked affine system the B-linear relations

@@ -96,12 +96,6 @@ def _closure(module: PGroupModule, gens, endos):
     return frozenset(seen)
 
 
-def _stable_tuple_count(module: PGroupModule, A, B, d: int, budget=None) -> int:
-    """Number of d-tuples generating N under (A, B), by Moebius inversion
-    over the lattice of (A, B)-invariant submodules."""
-    return generating_tuple_count(module, (A, B), d, budget=budget)
-
-
 def _stable_tuple_count_direct(module: PGroupModule, endos, d: int) -> int:
     """Reference implementation: walk every tuple and test whether its
     closure under addition and ``endos`` is N.  The closure is built one
@@ -142,7 +136,7 @@ def stable_framing_stats(
     points = relation_points(system, module, budget=budget)
     auts = automorphisms(module, budget=budget)
     size_d = module.size**d
-    stable = sum(_stable_tuple_count(module, A, B, d, budget) for A, B in points)
+    stable = sum(generating_tuple_count(module, (A, B), d, budget) for A, B in points)
     aut_order = len(auts)
     if stable % aut_order:
         raise AssertionError(

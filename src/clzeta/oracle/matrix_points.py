@@ -5,7 +5,7 @@ satisfying every relation.  Two strategies exist:
 
 * linear-in-B: enumerate A only; relations that omit B filter A, relations
   affine-linear in B stack into one linear system whose solution count is
-  p^nullity.  This is the hot loop; it runs in the compiled Cython kernel
+  p^nullity.  This is the hot loop; it runs in the compiled C kernel
   when available and in a pure-Python mirror otherwise.
 * full: enumerate both A and B and evaluate every relation literally.  Only
   feasible at tiny sizes; it exists to cross-check the linear strategy and
@@ -27,7 +27,7 @@ from fractions import Fraction
 from ..dirichlet import is_prime
 from ..series import TruncSeries, VarSpec
 from . import budget as _budget
-from ._kernels_py import _mat_mul
+from ._kernels_py import _mat_mul, _powers
 from .relations import RelationSystem, parse_relations
 
 if os.environ.get("CLZETA_FORCE_PY"):
@@ -137,60 +137,37 @@ def _count_linear(system: RelationSystem, n: int, p: int, shards: int):
     return CountResult(value, "linear-in-B", p**nn, rejected, inconsistent)
 
 
-def _mat_pow(x, e, n, p):
-    out = [0] * (n * n)
-    for i in range(n):
-        out[i * n + i] = 1 % p
-    for _ in range(e):
-        out = _mat_mul(out, x, n, p)
-    return out
-
-
-def _eval_word(word, a, b, n, p):
-    out = [0] * (n * n)
-    for i in range(n):
-        out[i * n + i] = 1 % p
+def _word_value(word, pows, n, p):
+    """The matrix of a word, from the power tables ``pows[g][e]`` = g^e."""
+    if word is None:
+        return pows["A"][0]
+    out = None
     for g, e in word.factors:
-        m = a if g == "A" else b
-        out = _mat_mul(out, _mat_pow(m, e, n, p), n, p)
+        out = pows[g][e] if out is None else _mat_mul(out, pows[g][e], n, p)
     return out
-
-
-def _mat_pow_cached(cache, key, m, e, n, p):
-    got = cache.get((key, e))
-    if got is None:
-        got = _mat_pow(m, e, n, p)
-        cache[(key, e)] = got
-    return got
 
 
 def _count_full(system: RelationSystem, n: int, p: int):
     nn = n * n
+    top = {"A": 0, "B": 0}
+    for rel in system.relations:
+        for t in rel.terms:
+            for g, e in t.word.factors if t.word is not None else ():
+                top[g] = max(top[g], e)
     count = 0
-    space = itertools.product(range(p), repeat=nn)
-    for a in space:
-        cache: dict = {}
+    for a in itertools.product(range(p), repeat=nn):
+        a_pows = _powers(a, n, p, top["A"])
         for b in itertools.product(range(p), repeat=nn):
-            good = True
+            pows = {"A": a_pows, "B": _powers(b, n, p, top["B"])}
             for rel in system.relations:
                 acc = [0] * nn
                 for t in rel.terms:
-                    if t.word is None:
-                        w = [0] * nn
-                        for i in range(n):
-                            w[i * n + i] = 1 % p
-                    elif t.b_degree() == 0:
-                        w = _mat_pow_cached(
-                            cache, "A", list(a), t.word.a_degree(), n, p
-                        )
-                    else:
-                        w = _eval_word(t.word, list(a), list(b), n, p)
+                    w = _word_value(t.word, pows, n, p)
                     for i in range(nn):
-                        acc[i] = (acc[i] + t.coeff * w[i]) % p
-                if any(acc):
-                    good = False
+                        acc[i] += t.coeff * w[i]
+                if any(v % p for v in acc):
                     break
-            if good:
+            else:
                 count += 1
     return CountResult(count, "full", p ** (2 * nn), 0, 0)
 

@@ -19,7 +19,7 @@ ALLOWED_VARS = ("t", "u", "q")
 #: Sentinel accepted by :func:`pochhammer` for the infinite product.
 INF = math.inf
 
-# When both factors fill more than this fraction of their window, series_mul
+# When both factors fill more than this fraction of their window, multiplication
 # switches from the sparse dict walk to flat-array convolution.
 _DENSE_THRESHOLD = 0.5
 
@@ -407,14 +407,6 @@ class TruncSeries:
     @classmethod
     def from_json(cls, s: str) -> "TruncSeries":
         return cls.from_json_dict(json.loads(s))
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a * b
-
-
-def series_inv(a: TruncSeries) -> TruncSeries:
-    return a.inverse()
 
 
 def pochhammer(a: TruncSeries, qvar: str, n) -> TruncSeries:

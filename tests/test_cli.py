@@ -6,6 +6,7 @@ import pytest
 
 from clzeta import verify
 from clzeta.cli import main
+from clzeta.oracle import KERNEL_COMPILED, kernel_name
 from clzeta.verify import Check
 
 
@@ -89,6 +90,25 @@ class TestOracleCommand:
         assert report["result"]["value"] == "273"
         assert report["result"]["strategy"] == "linear-in-B"
 
+    def test_report_names_the_kernel(self, capsys):
+        for size in (["--n", "1"], ["--nmax", "1"]):
+            code, out, _ = run(capsys, "oracle", "--relations", "A*B-B*A", "--q", "2", *size)
+            assert code == 0
+            assert json.loads(out)["kernel"] == kernel_name()
+
+    @pytest.mark.skipif(not KERNEL_COMPILED, reason="compiled kernel not built")
+    def test_prime_beyond_the_compiled_kernel_is_exit_2(self, capsys):
+        # 2147483659 is the least prime above 2^31; the budget admits its A space
+        code, out, err = run(
+            capsys,
+            "oracle", "--relations", "A*B - B*A", "--q", "2147483659", "--n", "1",
+            "--budget", "1099511627776",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2^31" in err
+
     def test_series_mode(self, capsys):
         code, out, _ = run(
             capsys, "oracle", "--relations", "A*B-B*A", "--q", "2", "--nmax", "2"
@@ -165,6 +185,7 @@ class TestVerifyCommand:
         assert report["verdict"] == "pass"
         assert all(c["passed"] for c in report["checks"])
         assert report["result"]["failed"] == 0
+        assert report["kernel"] == kernel_name()
 
     def test_tsv_prints_both_sides(self, capsys):
         code, out, _ = run(

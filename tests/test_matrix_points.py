@@ -1,19 +1,31 @@
 """Matrix-point oracle: strategies, kernels, shards, budgets."""
 
+import importlib.util
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clzeta.oracle import (
     BudgetExceededError,
+    _kernels_py,
     count_matrix_points,
     gl_order,
     matrix_point_series,
     parse_relations,
 )
-from clzeta.oracle.matrix_points import KERNEL_COMPILED
+from clzeta.oracle.matrix_points import KERNEL_COMPILED, _compile_for_kernel
+
+if KERNEL_COMPILED:
+    from clzeta.oracle import _kernels  # type: ignore[attr-defined]
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestGlOrder:
@@ -119,12 +131,16 @@ class TestSeries:
         assert s.coeff((1,)) == 3
 
 
+def _kernel_args(text, n, p, start=0, stop=None):
+    total = p ** (n * n)
+    return (n, p, start, total if stop is None else stop) + _compile_for_kernel(
+        parse_relations(text), p
+    )
+
+
 @pytest.mark.skipif(not KERNEL_COMPILED, reason="compiled kernel not built")
 class TestKernelParity:
     def test_pure_python_matches_compiled(self):
-        from clzeta.oracle import _kernels, _kernels_py  # type: ignore[attr-defined]
-        from clzeta.oracle.matrix_points import _compile_for_kernel
-
         cases = [
             ("A*B - B*A", 2, 3),
             ("A*B - B*A, A^2", 2, 3),
@@ -133,24 +149,128 @@ class TestKernelParity:
             ("A*B - B*A", 3, 2),
         ]
         for text, n, p in cases:
-            system = parse_relations(text)
-            a_filters, b_relations, max_pow = _compile_for_kernel(system, p)
-            total = p ** (n * n)
-            got_c = _kernels.nullity_histogram(
-                n, p, 0, total, a_filters, b_relations, max_pow
-            )
-            got_py = _kernels_py.nullity_histogram(
-                n, p, 0, total, a_filters, b_relations, max_pow
-            )
+            args = _kernel_args(text, n, p)
+            got_c = _kernels.nullity_histogram(*args)
+            got_py = _kernels_py.nullity_histogram(*args)
             assert tuple(got_c[0]) == tuple(got_py[0])
             assert got_c[1:] == got_py[1:]
 
     def test_partial_ranges_match(self):
-        from clzeta.oracle import _kernels, _kernels_py  # type: ignore[attr-defined]
-        from clzeta.oracle.matrix_points import _compile_for_kernel
-
-        system = parse_relations("A*B - B*A")
-        a_filters, b_relations, max_pow = _compile_for_kernel(system, 3)
-        got_c = _kernels.nullity_histogram(2, 3, 17, 61, a_filters, b_relations, max_pow)
-        got_py = _kernels_py.nullity_histogram(2, 3, 17, 61, a_filters, b_relations, max_pow)
+        args = _kernel_args("A*B - B*A", 2, 3, 17, 61)
+        got_c = _kernels.nullity_histogram(*args)
+        got_py = _kernels_py.nullity_histogram(*args)
         assert tuple(got_c[0]) == tuple(got_py[0])
+
+    def test_largest_prime_in_range_matches(self):
+        # 2^31 - 1 is prime; the residues of this range have 31 bits, so any
+        # unreduced product or sum of products would overflow 63 bits
+        args = _kernel_args("A^2*B*A - 5*B*A + 3*A^2, A*B - B*A - 7", 2, 2**31 - 1)
+        args = args[:2] + (10**17, 10**17 + 500) + args[4:]
+        assert _kernels.nullity_histogram(*args) == _kernels_py.nullity_histogram(*args)
+
+    @pytest.mark.parametrize("p", [0, 1, 2**31, 2**31 + 11, 2**64])
+    def test_p_outside_the_c_range_is_refused(self, p):
+        with pytest.raises(ValueError, match="2 <= p < 2\\^31"):
+            _kernels.nullity_histogram(1, p, 0, 1, (), ((((1, 0, 0),), ()),), 0)
+
+    def test_malformed_terms_are_refused(self):
+        for a_filters, b_relations, message in [
+            ((((1, 5),),), (), "exponent 5 out of range"),  # above max_pow
+            ((((1, -1),),), (), "exponent -1 out of range"),
+            ((((1,),),), (), "tuple of 2 ints"),
+            ((), ((((1, 0),), ()),), "tuple of 3 ints"),  # no post exponent
+        ]:
+            with pytest.raises(ValueError, match=message):
+                _kernels.nullity_histogram(1, 3, 0, 3, a_filters, b_relations, 1)
+
+
+@st.composite
+def _b_linear_systems(draw):
+    """Relation text of a random system of A-only filters and B-linear
+    relations with constant terms, and n <= 2, p in {2, 3, 5}."""
+    coeff = st.integers(-6, 6)
+    exp = st.integers(0, 2)
+
+    def term(c, word):  # word "" is the constant term
+        body = f"{abs(c)}*{word}" if word else str(abs(c))
+        return (" - " if c < 0 else " + ") + body
+
+    def a_word(e):
+        return f"A^{e}" if e else ""
+
+    def b_word(i, j):
+        return "*".join([f"A^{i}"] * bool(i) + ["B"] + [f"A^{j}"] * bool(j))
+
+    filters = draw(st.lists(st.lists(st.tuples(coeff, exp), min_size=1, max_size=2), max_size=1))
+    linear = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.tuples(coeff, exp, exp), min_size=1, max_size=2),
+                st.lists(st.tuples(coeff, exp), max_size=2),
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    relations = [[term(c, a_word(e)) for c, e in rel] for rel in filters]
+    for lin, con in linear:
+        relations.append(
+            [term(c, b_word(i, j)) for c, i, j in lin] + [term(c, a_word(e)) for c, e in con]
+        )
+    text = ", ".join("0" + "".join(rel) for rel in relations)
+    return text, draw(st.integers(1, 2)), draw(st.sampled_from((2, 3, 5)))
+
+
+class TestKernelDifferential:
+    """The Python kernel, the compiled kernel (when it imports) and the full
+    strategy agree on random B-linear systems and random odometer ranges.
+    The full strategy is checked where its (A, B) space has at most 3^8
+    points; at n = 2, p = 5 it has 5^8 and only the kernels are compared."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_b_linear_systems(), st.data())
+    def test_kernels_and_full_strategy_agree(self, system, data):
+        text, n, p = system
+        assert parse_relations(text).is_b_linear()
+        total = p ** (n * n)
+        start = data.draw(st.integers(0, total))
+        stop = data.draw(st.integers(start, total))
+        pieces = [_kernels_py.nullity_histogram(*_kernel_args(text, n, p, lo, hi))
+                  for lo, hi in ((0, start), (start, stop), (stop, total))]
+        if KERNEL_COMPILED:
+            args = _kernel_args(text, n, p, start, stop)
+            assert _kernels.nullity_histogram(*args) == pieces[1]
+        whole = _kernels_py.nullity_histogram(*_kernel_args(text, n, p))
+        assert [sum(col) for col in zip(*(h for h, _, _ in pieces))] == whole[0]
+        assert sum(r for _, r, _ in pieces) == whole[1]
+        assert sum(i for _, _, i in pieces) == whole[2]
+        linear = sum(c * p**d for d, c in enumerate(whole[0]))
+        assert count_matrix_points(text, n, p, strategy="linear").value == linear
+        if p ** (2 * n * n) <= 3**8:
+            assert count_matrix_points(text, n, p, strategy="full").value == linear
+
+
+def _c_toolchain() -> bool:
+    cc = (sysconfig.get_config_var("CC") or "").split()
+    header = Path(sysconfig.get_paths()["include"]) / "Python.h"
+    return bool(cc) and shutil.which(cc[0]) is not None and header.is_file()
+
+
+@pytest.mark.skipif(not _c_toolchain(), reason="no C compiler or Python headers")
+def test_setup_builds_the_compiled_kernel(tmp_path):
+    # the extension is optional, so a C file that does not compile would
+    # otherwise pass unnoticed: the build succeeds and the kernel is skipped
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(tmp_path / "lib"), "--build-temp", str(tmp_path / "tmp")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    built = list((tmp_path / "lib" / "clzeta" / "oracle").glob("_kernels.*"))
+    assert len(built) == 1, proc.stderr
+    spec = importlib.util.spec_from_file_location("_kernels", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.COMPILED is True
+    args = _kernel_args("A*B - B*A, A^2*B - 1", 2, 3)
+    assert module.nullity_histogram(*args) == _kernels_py.nullity_histogram(*args)
