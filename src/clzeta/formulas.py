@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .partitions import partitions_up_to
-from .series import INF, TruncSeries, VarSpec, pochhammer, qpoch_value
+from .series import INF, TruncSeries, VarSpec, inverse_pochhammer, pochhammer, qpoch_value
 
 
 def _t_spec(t_order: int) -> VarSpec:
@@ -47,8 +47,15 @@ def euler_inverse_pochhammer(c: Fraction, r: Fraction, step: int, t_order: int) 
 
 
 def pochhammer_inf_specialized(c: Fraction, r: Fraction, t_order: int) -> TruncSeries:
-    """(c*t; r)_infinity as a series in t (inverse of the Euler sum)."""
-    return euler_inverse_pochhammer(c, r, 1, t_order).inverse()
+    """(c*t; r)_infinity as a series in t, via Euler's second identity: the
+    t^m coefficient is (-c)^m r^(m(m-1)/2) / (r; r)_m."""
+    c = Fraction(c)
+    r = Fraction(r)
+    coeffs = {
+        (m,): (-c) ** m * r ** (m * (m - 1) // 2) / qpoch_value(r, r, m)
+        for m in range(t_order)
+    }
+    return TruncSeries(_t_spec(t_order), coeffs)
 
 
 def line_series(q, t_order: int) -> TruncSeries:
@@ -149,15 +156,14 @@ def rank_series_at_powers(b: int, q, t_order: int) -> TruncSeries:
     out = TruncSeries.zero(spec)
     k = 0
     while (b + 1) * k < t_order:
-        head = TruncSeries.monomial(
+        term = TruncSeries.monomial(
             spec, ((b + 1) * k,), r ** (k * k) / qpoch_value(r, r, k)
         )
-        finite = TruncSeries.one(spec)
         cur = r
         for _ in range(k):
-            finite = finite * (1 - TruncSeries.monomial(spec, (1,), cur))
+            term = term.divide_by_binomial(cur, (1,))
             cur *= r
-        out = out + head * finite.inverse()
+        out = out + term
         k += 1
     return out
 
@@ -213,7 +219,7 @@ def rank_series_partition_sum(t_order: int, u_order: int, q_order: int) -> Trunc
     spec = _tuq_spec(t_order, u_order, q_order)
     qv = TruncSeries.variable(spec, "q")
     max_mult = t_order - 1
-    inv_poch = [pochhammer(qv, "q", m).inverse() for m in range(max_mult + 1)]
+    inv_poch = [inverse_pochhammer(qv, "q", m) for m in range(max_mult + 1)]
     out = TruncSeries.zero(spec)
     for lam in partitions_up_to(t_order - 1):
         if lam.length >= u_order:
@@ -239,8 +245,8 @@ def rank_series_hypergeometric(t_order: int, u_order: int, q_order: int) -> Trun
     k = 0
     while k < t_order and k < u_order and k * k < q_order:
         term = TruncSeries.monomial(spec, (k, k, k * k))
-        term = term * pochhammer(qv, "q", k).inverse()
-        term = term * pochhammer(tq, "q", k).inverse()
+        term = term * inverse_pochhammer(qv, "q", k)
+        term = term * inverse_pochhammer(tq, "q", k)
         out = out + term
         k += 1
     return out
@@ -256,7 +262,7 @@ def normalized_rank_series(t_order: int, u_order: int, q_order: int) -> TruncSer
     k = 0
     while k < t_order and k < u_order and k * k < q_order:
         term = TruncSeries.monomial(spec, (k, k, k * k))
-        term = term * pochhammer(qv, "q", k).inverse()
+        term = term * inverse_pochhammer(qv, "q", k)
         term = term * pochhammer(
             TruncSeries.monomial(spec, (1, 0, k + 1)), "q", INF
         )

@@ -41,6 +41,11 @@ else:
 #: True when the compiled kernel is in use.
 KERNEL_COMPILED = bool(getattr(_kernels, "COMPILED", False))
 
+#: The linear strategy refuses q at or above this bound whichever kernel runs:
+#: the compiled kernel keeps residue products in 64 bits, and the Python
+#: kernel would start a scan of q^(n^2) matrices.
+KERNEL_Q_LIMIT = 2**31
+
 
 def kernel_name() -> str:
     return "cython" if KERNEL_COMPILED else "python"
@@ -189,6 +194,9 @@ def count_matrix_points(
     """
     if isinstance(system, str):
         system = parse_relations(system)
+    uses_kernel = strategy in ("auto", "linear") and system.is_b_linear()
+    if uses_kernel and not 2 <= q < KERNEL_Q_LIMIT:
+        raise ValueError(f"the linear strategy needs 2 <= q < 2^31, got q = {q}")
     if not is_prime(q):
         raise ValueError("the matrix oracle supports prime q only")
     if n < 0:

@@ -112,6 +112,16 @@ class VarSpec:
         )
 
 
+def _strides(orders: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Row-major strides of a window (last variable fastest) and its size."""
+    strides = []
+    s = 1
+    for o in reversed(orders):
+        strides.append(s)
+        s *= o
+    return tuple(reversed(strides)), s
+
+
 class TruncSeries:
     """Sparse truncated power series over a :class:`VarSpec` window.
 
@@ -138,6 +148,18 @@ class TruncSeries:
                     clean[exps] = c
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "_coeffs", clean)
+
+    @classmethod
+    def _trusted(cls, spec: VarSpec, clean: dict) -> "TruncSeries":
+        """A series that takes ``clean`` as its store without checking it.
+
+        Only for ring operations whose output already holds nothing but
+        nonzero :class:`Fraction` values at in-window exponent vectors.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "spec", spec)
+        object.__setattr__(out, "_coeffs", clean)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("TruncSeries is immutable")
@@ -184,14 +206,18 @@ class TruncSeries:
         Raises :class:`OutOfWindowError` for exponents at or beyond the
         truncation order; unknown coefficients are never silently zero.
         """
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != len(self.spec.names):
-            raise ValueError("exponent vector has wrong arity")
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
+        exps = self._exponents(exps)
         if not self.spec.in_window(exps):
             raise OutOfWindowError(f"{exps} outside window {self.spec!r}")
         return self._coeffs.get(exps, Fraction(0))
+
+    def _exponents(self, exps: Iterable[int]) -> tuple[int, ...]:
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != len(self.spec.names):
+            raise ValueError(f"exponent vector {exps} has wrong arity")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
+        return exps
 
     def density(self) -> float:
         return len(self._coeffs) / self.spec.window_size()
@@ -237,12 +263,12 @@ class TruncSeries:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return TruncSeries(self.spec, out)
+        return TruncSeries._trusted(self.spec, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.spec, {e: -c for e, c in self._coeffs.items()})
+        return TruncSeries._trusted(self.spec, {e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -259,7 +285,7 @@ class TruncSeries:
             k = _as_fraction(other)
             if not k:
                 return TruncSeries.zero(self.spec)
-            return TruncSeries(self.spec, {e: c * k for e, c in self._coeffs.items()})
+            return TruncSeries._trusted(self.spec, {e: c * k for e, c in self._coeffs.items()})
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_spec(other)
@@ -283,24 +309,19 @@ class TruncSeries:
                 e = tuple(x + y for x, y in zip(ea, eb))
                 if any(x >= o for x, o in zip(e, orders)):
                     continue
-                s = out.get(e, Fraction(0)) + ca * cb
+                s = out.get(e)
+                s = ca * cb if s is None else s + ca * cb
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return TruncSeries(self.spec, out)
+        return TruncSeries._trusted(self.spec, out)
 
     def _mul_dense(self, other: "TruncSeries") -> "TruncSeries":
         # Flat-array convolution in mixed-radix index space; same result as
         # the sparse walk, cheaper when both operands are nearly full.
         orders = self.spec.orders
-        strides = []
-        s = 1
-        for o in reversed(orders):
-            strides.append(s)
-            s *= o
-        strides = tuple(reversed(strides))
-        size = s
+        strides, size = _strides(orders)
         exps_of = list(self.spec.iter_window())
         flat_a = [Fraction(0)] * size
         flat_b = [Fraction(0)] * size
@@ -321,7 +342,7 @@ class TruncSeries:
                 if any(y > r for y, r in zip(eb, room)):
                     continue
                 out[ia + ib] += ca * cb
-        return TruncSeries(
+        return TruncSeries._trusted(
             self.spec, {exps_of[i]: c for i, c in enumerate(out) if c}
         )
 
@@ -360,6 +381,42 @@ class TruncSeries:
                 out[e] = val
         return TruncSeries(self.spec, out)
 
+    def divide_by_binomial(self, c, exps: Iterable[int]) -> "TruncSeries":
+        """self / (1 - c * x^exps) on the window, for a nonzero exponent vector.
+
+        One prefix pass over the cells e >= exps in lexicographic order,
+        out[e] += c * out[e - exps] (Knuth, TAOCP vol. 2, section 4.7).
+        """
+        exps = self._exponents(exps)
+        if not any(exps):
+            raise ValueError("dividing by 1 - c needs a nonzero exponent vector")
+        return self._divide_by_binomials([(_as_fraction(c), exps)])
+
+    def _divide_by_binomials(self, factors) -> "TruncSeries":
+        # All divisions run on one flat mixed-radix array.  A cell e >= m sits
+        # at a fixed flat offset past e - m, and lexicographic order is flat
+        # order, so each factor is one increasing pass over a sub-box whose
+        # innermost axis is a contiguous run.
+        orders = self.spec.orders
+        strides, size = _strides(orders)
+        flat = [0] * size
+        for e, v in self._coeffs.items():
+            flat[sum(x * st for x, st in zip(e, strides))] = v
+        for c, m in factors:
+            if not c or not self.spec.in_window(m):
+                continue
+            off = sum(x * st for x, st in zip(m, strides))
+            inner = range(m[-1], orders[-1])
+            for outer in itertools.product(*map(range, m[:-1], orders[:-1])):
+                base = sum(x * st for x, st in zip(outer, strides))
+                for i in inner:
+                    prev = flat[base + i - off]
+                    if prev:
+                        flat[base + i] += c * prev
+        return TruncSeries._trusted(
+            self.spec, {e: v for e, v in zip(self.spec.iter_window(), flat) if v}
+        )
+
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / _as_fraction(other))
@@ -382,7 +439,7 @@ class TruncSeries:
                 out[ne] = s
             else:
                 out.pop(ne, None)
-        return TruncSeries(new_spec, out)
+        return TruncSeries._trusted(new_spec, out)
 
     # -- serialization ---------------------------------------------------
 
@@ -437,6 +494,30 @@ def pochhammer(a: TruncSeries, qvar: str, n) -> TruncSeries:
         result = result * (1 - cur)
         cur = cur * q
     return result
+
+
+def inverse_pochhammer(a: TruncSeries, qvar: str, n) -> TruncSeries:
+    """1/(a;q)_n for a monomial a = c*x^m with m nonzero, one binomial
+    division per factor (1 - c*x^m*q^k).
+
+    ``n`` is a nonnegative integer or :data:`INF`; the divisions stop once
+    a*q^k leaves the window, where every further factor truncates to 1.
+    """
+    if len(a._coeffs) != 1:
+        raise ValueError("inverse_pochhammer needs a monomial a")
+    ((m, c),) = a._coeffs.items()
+    if not any(m):
+        raise ValueError("inverse_pochhammer needs a nonconstant monomial a")
+    if n is not INF and (not isinstance(n, int) or n < 0):
+        raise ValueError("n must be a nonnegative integer or INF")
+    spec = a.spec
+    i = spec.index(qvar)
+    last = spec.orders[i] - m[i]
+    factors = [
+        (c, m[:i] + (m[i] + k,) + m[i + 1 :])
+        for k in range(last if n is INF else min(n, last))
+    ]
+    return TruncSeries.one(spec)._divide_by_binomials(factors)
 
 
 def qpoch_value(a: Fraction, r: Fraction, n: int) -> Fraction:

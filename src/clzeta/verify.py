@@ -36,7 +36,7 @@ from .partitions import (
     partition_count,
     partitions_up_to,
 )
-from .series import INF, TruncSeries, VarSpec, pochhammer
+from .series import INF, TruncSeries, VarSpec, inverse_pochhammer, pochhammer
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def suite_u_collapse(t_order=10, q_order=20) -> list[Check]:
     u_order = t_order
     spec2 = VarSpec(("t", "q"), (t_order, q_order))
     tq = TruncSeries.monomial(spec2, (1, 1))
-    target = pochhammer(tq, "q", INF).inverse()
+    target = inverse_pochhammer(tq, "q", INF)
     checks = []
     for label, builder in (
         ("partition sum", fb.rank_series_partition_sum),
@@ -193,8 +193,8 @@ def suite_euler_identity(t_order=12, q_order=20) -> list[Check]:
     qv = TruncSeries.variable(spec, "q")
     lhs = TruncSeries.zero(spec)
     for n in range(t_order):
-        lhs = lhs + TruncSeries.monomial(spec, (n, 0)) * pochhammer(qv, "q", n).inverse()
-    rhs = pochhammer(tv, "q", INF).inverse()
+        lhs = lhs + TruncSeries.monomial(spec, (n, 0)) * inverse_pochhammer(qv, "q", n)
+    rhs = inverse_pochhammer(tv, "q", INF)
     return [_series_eq(f"Euler identity on t<{t_order}, q<{q_order}", lhs, rhs)]
 
 
@@ -208,7 +208,7 @@ def suite_durfee_identities(k_max=5, window=20) -> list[Check]:
         lhs = TruncSeries.zero(qspec)
         for lam in partitions_up_to(window - 1, max_len=k):
             lhs = lhs + TruncSeries.monomial(qspec, (lam.size,))
-        rhs = pochhammer(qv, "q", k).inverse()
+        rhs = inverse_pochhammer(qv, "q", k)
         checks.append(_series_eq(f"durfee (i): length<={k} vs 1/(q;q)_{k}", lhs, rhs))
 
     tqspec = VarSpec(("t", "q"), (window, window))
@@ -216,7 +216,7 @@ def suite_durfee_identities(k_max=5, window=20) -> list[Check]:
     for lam in partitions_up_to(window - 1):
         lhs = lhs + TruncSeries.monomial(tqspec, (lam.length, lam.size))
     tq = TruncSeries.monomial(tqspec, (1, 1))
-    rhs = pochhammer(tq, "q", INF).inverse()
+    rhs = inverse_pochhammer(tq, "q", INF)
     checks.append(
         _series_eq("durfee (ii): all partitions vs 1/(tq;q)_inf", lhs, rhs)
     )
@@ -228,8 +228,8 @@ def suite_durfee_identities(k_max=5, window=20) -> list[Check]:
                 lhs = lhs + TruncSeries.monomial(qspec, (lam.size,))
             rhs = (
                 pochhammer(qv, "q", k + l)
-                * pochhammer(qv, "q", k).inverse()
-                * pochhammer(qv, "q", l).inverse()
+                * inverse_pochhammer(qv, "q", k)
+                * inverse_pochhammer(qv, "q", l)
             )
             checks.append(
                 _series_eq(f"durfee (iii): parts<={k}, length<={l} vs Gaussian", lhs, rhs)

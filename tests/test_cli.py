@@ -1,12 +1,17 @@
 """Command-line contracts: payload schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clzeta
 from clzeta import verify
 from clzeta.cli import main
-from clzeta.oracle import KERNEL_COMPILED, kernel_name
+from clzeta.oracle import kernel_name
 from clzeta.verify import Check
 
 
@@ -96,18 +101,35 @@ class TestOracleCommand:
             assert code == 0
             assert json.loads(out)["kernel"] == kernel_name()
 
-    @pytest.mark.skipif(not KERNEL_COMPILED, reason="compiled kernel not built")
+    # 2147483659 is the least prime above 2^31; the budget admits its A space
+    BEYOND_THE_KERNEL = (
+        "oracle", "--relations", "A*B - B*A", "--q", "2147483659", "--n", "1",
+        "--budget", "1099511627776",
+    )
+
     def test_prime_beyond_the_compiled_kernel_is_exit_2(self, capsys):
-        # 2147483659 is the least prime above 2^31; the budget admits its A space
-        code, out, err = run(
-            capsys,
-            "oracle", "--relations", "A*B - B*A", "--q", "2147483659", "--n", "1",
-            "--budget", "1099511627776",
-        )
+        code, out, err = run(capsys, *self.BEYOND_THE_KERNEL)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "2^31" in err
+
+    def test_prime_beyond_the_compiled_kernel_is_refused_by_the_python_kernel(self):
+        # the refusal comes before either kernel runs; without it the Python
+        # kernel would start a scan of 2.1e9 matrices and hit the timeout
+        src = str(Path(clzeta.__file__).resolve().parent.parent)
+        env = dict(os.environ, CLZETA_FORCE_PY="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from clzeta.cli import main; sys.exit(main(sys.argv[1:]))",
+             *self.BEYOND_THE_KERNEL],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "2^31" in proc.stderr
 
     def test_series_mode(self, capsys):
         code, out, _ = run(

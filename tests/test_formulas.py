@@ -20,11 +20,13 @@ from clzeta.formulas import (
     normalized_rank_series,
     normalized_rank_series_at_powers,
     plane_series_from_points,
+    pochhammer_inf_specialized,
     rank_series_at_powers,
     rank_series_hypergeometric,
     rank_series_partition_sum,
     count_irreducibles,
 )
+from clzeta import verify
 from clzeta.partitions import partitions_up_to
 from clzeta.series import TruncSeries, VarSpec, qpoch_value
 
@@ -228,6 +230,73 @@ class TestRankSeries:
             t_order, u_order, q_order
         )
         assert lhs == rhs
+
+
+class TestDivisionAgainstGenericInverse:
+    """The one-pass divisions in the formulas against the generic inverse."""
+
+    @pytest.mark.parametrize(
+        "c, r, t_order",
+        [(1, Fraction(1, 2), 8), (Fraction(1, 3), Fraction(1, 3), 6),
+         (Fraction(-2, 5), Fraction(1, 7), 5), (3, Fraction(2, 3), 4), (1, Fraction(1, 2), 1)],
+    )
+    def test_euler_second_identity(self, c, r, t_order):
+        assert pochhammer_inf_specialized(c, r, t_order) == (
+            euler_inverse_pochhammer(c, r, 1, t_order).inverse()
+        )
+
+    @pytest.mark.parametrize("b, q", [(1, 2), (2, 3), (3, Fraction(5, 2))])
+    def test_rank_series_at_powers(self, b, q):
+        t_order = 7
+        spec = VarSpec(("t",), (t_order,))
+        r = 1 / Fraction(q)
+        expected = TruncSeries.zero(spec)
+        for k in range(t_order // (b + 1) + 1):
+            finite = TruncSeries.one(spec)
+            for j in range(1, k + 1):
+                finite = finite * (1 - TruncSeries.monomial(spec, (1,), r**j))
+            head = TruncSeries.monomial(
+                spec, ((b + 1) * k,), r ** (k * k) / qpoch_value(r, r, k)
+            )
+            expected = expected + head * finite.inverse()
+        assert rank_series_at_powers(b, q, t_order) == expected
+
+
+class TestNoGenericInverse:
+    """The rank series and the identity suites divide by q-Pochhammer factors
+    one binomial at a time; none of them may fall back on the generic
+    :meth:`TruncSeries.inverse`."""
+
+    @pytest.fixture(autouse=True)
+    def no_inverse(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("generic TruncSeries.inverse called")
+
+        monkeypatch.setattr(TruncSeries, "inverse", refuse)
+
+    def test_rank_series(self):
+        for build in (
+            rank_series_partition_sum,
+            rank_series_hypergeometric,
+            normalized_rank_series,
+        ):
+            assert build(5, 5, 10).coeff((0, 0, 0)) == 1
+
+    def test_specialized_rank_series(self):
+        assert rank_series_at_powers(2, 3, 6).coeff((0,)) == 1
+        assert normalized_rank_series_at_powers(2, 3, 6).coeff((0,)) == 1
+
+    @pytest.mark.parametrize(
+        "suite, kwargs",
+        [
+            (verify.suite_u_collapse, {"t_order": 6, "q_order": 10}),
+            (verify.suite_euler_identity, {"t_order": 6, "q_order": 10}),
+            (verify.suite_durfee_identities, {"k_max": 3, "window": 10}),
+        ],
+    )
+    def test_identity_suites(self, suite, kwargs):
+        checks = suite(**kwargs)
+        assert checks and all(c.passed for c in checks)
 
 
 class TestDepthFourOracle:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clzeta.series import (
+    ALLOWED_VARS,
     INF,
     DivergentProductError,
     IncompatibleSpecError,
@@ -14,6 +15,7 @@ from clzeta.series import (
     OutOfWindowError,
     TruncSeries,
     VarSpec,
+    inverse_pochhammer,
     pochhammer,
     qpoch_value,
 )
@@ -295,3 +297,104 @@ def test_specialize_is_ring_homomorphism(a, b, qval):
 @given(graded_series(unit_constant=True), st.integers(1, 5))
 def test_specialize_commutes_with_inverse(a, qval):
     assert a.inverse().specialize("q", qval) == a.specialize("q", qval).inverse()
+
+
+# -- one-pass division against the generic inverse ---------------------------
+
+
+@st.composite
+def windows(draw):
+    names = draw(st.permutations(ALLOWED_VARS))[: draw(st.integers(1, 3))]
+    return VarSpec(names, [draw(st.integers(1, 5)) for _ in names])
+
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def series_on(draw, spec):
+    coeffs = {e: draw(rationals) for e in spec.iter_window() if draw(st.booleans())}
+    return TruncSeries(spec, coeffs)
+
+
+def nonzero_exps(spec, in_window=False):
+    """Nonzero exponent vectors, reaching one past the window unless ``in_window``."""
+    top = [o - 1 if in_window else o for o in spec.orders]
+    return st.tuples(*(st.integers(0, t) for t in top)).filter(any)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_divide_by_binomial_matches_generic_inverse(data):
+    spec = data.draw(windows())
+    s = data.draw(series_on(spec))
+    c = data.draw(rationals)
+    m = data.draw(nonzero_exps(spec))
+    binomial = 1 - TruncSeries(spec, {m: c})
+    assert s.divide_by_binomial(c, m) == s * binomial.inverse()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_inverse_pochhammer_matches_generic_inverse(data):
+    spec = data.draw(windows())
+    m = data.draw(nonzero_exps(spec, in_window=True))
+    c = data.draw(rationals.filter(bool))
+    a = TruncSeries.monomial(spec, m, c)
+    qvar = data.draw(st.sampled_from(spec.names))
+    n = data.draw(st.sampled_from([0, 1, 2, 3, 4, 5, INF]))
+    assert inverse_pochhammer(a, qvar, n) == pochhammer(a, qvar, n).inverse()
+
+
+class TestDivisionRefusals:
+    def test_zero_exponent_vector(self):
+        with pytest.raises(ValueError):
+            TruncSeries.one(TQ).divide_by_binomial(2, (0, 0))
+
+    def test_malformed_exponent_vector(self):
+        with pytest.raises(ValueError):
+            TruncSeries.one(TQ).divide_by_binomial(1, (1,))
+        with pytest.raises(ValueError):
+            TruncSeries.one(TQ).divide_by_binomial(1, (1, -1))
+
+    def test_constant_monomial(self):
+        with pytest.raises(ValueError):
+            inverse_pochhammer(TruncSeries.constant(TQ, 3), "q", 2)
+
+    def test_non_monomial(self):
+        t = TruncSeries.variable(TQ, "t")
+        q = TruncSeries.variable(TQ, "q")
+        with pytest.raises(ValueError):
+            inverse_pochhammer(t + q, "q", INF)
+        with pytest.raises(ValueError):
+            inverse_pochhammer(TruncSeries.zero(TQ), "q", 1)
+
+    def test_bad_n(self):
+        q = TruncSeries.variable(TQ, "q")
+        with pytest.raises(ValueError):
+            inverse_pochhammer(q, "q", -1)
+
+
+# -- results of ring operations are stored clean -----------------------------
+# Ring operations build their result without the public constructor's checks;
+# re-running those checks on the result must change nothing.
+
+
+def assert_clean(r):
+    assert TruncSeries(r.spec, r._coeffs)._coeffs == r._coeffs
+    assert all(type(c) is Fraction for c in r._coeffs.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ring_operations_store_clean_results(data):
+    spec = data.draw(windows())
+    a = data.draw(series_on(spec))
+    b = data.draw(series_on(spec))
+    k = data.draw(rationals)
+    for r in (a + b, a + (-a), a - b, -a, a * k, a._mul_sparse(b), a._mul_dense(b)):
+        assert_clean(r)
+    if len(spec.names) > 1:
+        var = data.draw(st.sampled_from(spec.names))
+        assert_clean(a.specialize(var, data.draw(rationals)))
+    assert_clean(a.divide_by_binomial(data.draw(rationals), data.draw(nonzero_exps(spec))))
