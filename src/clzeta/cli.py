@@ -87,11 +87,13 @@ def _cmd_series(args) -> int:
         if args.q is None:
             raise SystemExit2("--q is required for this formula")
         series = fb.SPECIALIZED_FORMULAS[args.id](
-            Fraction(args.q), args.trunc, b=args.b if args.b else 1
+            Fraction(args.q), args.trunc, b=1 if args.b is None else args.b
         )
     elif args.id in fb.FORMAL_FORMULAS:
         series = fb.FORMAL_FORMULAS[args.id](
-            args.trunc, args.u_trunc or args.trunc, args.q_trunc or 20
+            args.trunc,
+            args.trunc if args.u_trunc is None else args.u_trunc,
+            20 if args.q_trunc is None else args.q_trunc,
         )
     else:
         known = sorted(fb.SPECIALIZED_FORMULAS) + sorted(fb.FORMAL_FORMULAS)
@@ -328,7 +330,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, dd.DirichletError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,10 @@ A prefix stores a_1..a_N of sum a_n n^(-s).  On top of the ring operations
 (convolution product and the substitution s -> m*s + n) this module builds
 the Dedekind zeta prefixes of Z, Z_p, F_q[T] and F_q[[T]], Euler products
 over primes, the Cohen-Lenstra zeta of a local base, and the Cohen-Lenstra
-zeta of a polynomial ring over Z or F_q[T].
+zeta of a polynomial ring over Z or F_q[T].  Every multiplicative prefix is
+an :func:`euler_product`, and every prefix supported on the powers of a
+single q is written from its coefficients at 1, q, q^2, ....  Local factors
+are series in t from :mod:`clzeta.formulas`, read at t = q^(-s).
 
 The polynomial-ring zeta is an infinite double product of shifted zetas.  It
 is assembled from finitely many literal shifted-zeta factors while the
@@ -12,7 +15,8 @@ remaining tail of each block is resummed exactly: grouped per prime p, the
 tail's p^(-ms) coefficient is the complete homogeneous sum of a geometric
 sequence, m-fold products of p^(-j) over j >= J, which telescopes to
 p^(-Jm) / (1/p; 1/p)_m.  No numeric cutoff is involved; every coefficient of
-the returned prefix is exact.
+the returned prefix is exact.  It is checked against the local factors,
+which are the polynomial-ring series of :mod:`clzeta.formulas`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .series import qpoch_value
+from .formulas import (
+    dvr_polynomial_local_series,
+    euler_inverse_pochhammer,
+    feit_fine_series,
+)
+from .series import TruncSeries
 
 
 class DirichletError(Exception):
@@ -37,15 +46,19 @@ class NonUnitFactorError(DirichletError):
     """An Euler factor whose leading coefficient is not 1."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
+def _smallest_factor(n: int, start: int = 2) -> int:
+    """Smallest divisor d >= start of n >= 2, or n itself when there is
+    none up to sqrt(n)."""
+    d = start
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 1
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _smallest_factor(n) == n
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -55,10 +68,28 @@ def primes_up_to(n: int) -> list[int]:
 def is_prime_power(n: int) -> bool:
     if n < 2:
         return False
-    p = min(d for d in range(2, n + 1) if n % d == 0)
+    p = _smallest_factor(n)
     while n % p == 0:
         n //= p
     return n == 1
+
+
+def _factorize(n: int) -> list[tuple[int, int]]:
+    out = []
+    p = 2
+    while n > 1:
+        p = _smallest_factor(n, p)
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
+
+
+def _check_length(length: int) -> None:
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +160,7 @@ class DirichletSeries:
 
     @classmethod
     def unit(cls, length: int) -> "DirichletSeries":
+        _check_length(length)
         return cls([1] + [0] * (length - 1))
 
     @property
@@ -143,11 +175,6 @@ class DirichletSeries:
 
     def coefficients(self) -> tuple[Fraction, ...]:
         return self._a
-
-    def truncate(self, length: int) -> "DirichletSeries":
-        if length > len(self._a):
-            raise ValueError("cannot extend a prefix")
-        return DirichletSeries(self._a[:length])
 
     def __eq__(self, other):
         if not isinstance(other, DirichletSeries):
@@ -176,14 +203,6 @@ class DirichletSeries:
                 if be:
                     out[d * e - 1] += ad * be
         return DirichletSeries(out)
-
-    def partial_sums(self) -> list[Fraction]:
-        out = []
-        acc = Fraction(0)
-        for c in self._a:
-            acc += c
-            out.append(acc)
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -222,51 +241,42 @@ def shift(
     return DirichletSeries(out)
 
 
+def _max_exponent(q: int, length: int) -> int:
+    """Largest k with q^k <= length."""
+    k = 0
+    while q ** (k + 1) <= length:
+        k += 1
+    return k
+
+
+def _t_coefficients(series: TruncSeries) -> list[Fraction]:
+    """Every coefficient of a series in t, t^0 first."""
+    return [series.coeff((k,)) for k in range(series.spec.orders[0])]
+
+
+def _at_powers(q: int, cs: Sequence[Fraction], length: int) -> DirichletSeries:
+    """The prefix with cs[k] at q^k and zero elsewhere; ``cs`` holds one
+    Fraction for each q^k <= length."""
+    _check_length(length)
+    a = [Fraction(0)] * length
+    for k, c in enumerate(cs):
+        a[q**k - 1] = c
+    return DirichletSeries(a)
+
+
 def dedekind_zeta(ring: BaseRing, length: int) -> DirichletSeries:
     """Prefix of the Dedekind zeta function of the base ring.
 
     Z: all ones.  Zp: 1 at powers of p.  FqPoly: q^k at q^k (monic
     polynomials of degree k).  FqPowerSeries: 1 at powers of q.
     """
-    a = [Fraction(0)] * length
-    a[0] = Fraction(1)
     if ring.kind == "Z":
-        a = [Fraction(1)] * length
-    elif ring.kind == "Zp":
-        n = ring.param
-        while n <= length:
-            a[n - 1] = Fraction(1)
-            n *= ring.param
-    elif ring.kind == "FqPoly":
-        q = ring.param
-        n, k = q, 1
-        while n <= length:
-            a[n - 1] = Fraction(q) ** k
-            n *= q
-            k += 1
-    elif ring.kind == "FqPowerSeries":
-        q = ring.param
-        n = q
-        while n <= length:
-            a[n - 1] = Fraction(1)
-            n *= q
-    return DirichletSeries(a)
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+        return DirichletSeries([Fraction(1)] * length)
+    q = ring.param
+    kmax = _max_exponent(q, length)
+    if ring.kind == "FqPoly":
+        return _at_powers(q, [Fraction(q**k) for k in range(kmax + 1)], length)
+    return _at_powers(q, [Fraction(1)] * (kmax + 1), length)
 
 
 def euler_product(
@@ -279,6 +289,7 @@ def euler_product(
     contribute the unit factor.  The result's a_n multiplies the local
     coefficients along the factorization of n.
     """
+    _check_length(length)
     locals_: dict[int, list[Fraction]] = {}
     for p, cs in factors.items():
         if not is_prime(p):
@@ -311,62 +322,27 @@ def cohen_lenstra_local_zeta(ring: BaseRing, length: int) -> DirichletSeries:
     zeta_S(s + i), resummed exactly per coefficient.
 
     The q^(-ks) coefficient is the degree-k complete homogeneous sum of the
-    geometric values q^(-i), i >= 1, which equals q^(-k) / (1/q; 1/q)_k.
-    It also equals the sum of 1/|Aut| over all module types of size k.
+    geometric values q^(-i), i >= 1, which equals q^(-k) / (1/q; 1/q)_k by
+    Euler's identity.  It also equals the sum of 1/|Aut| over all module
+    types of size k.
     """
     if not ring.is_local:
         raise UnsupportedRingError("Cohen-Lenstra local zeta needs Zp or FqPowerSeries")
     q = ring.residue_cardinality
     r = Fraction(1, q)
-    a = [Fraction(0)] * length
-    a[0] = Fraction(1)
-    n, k = q, 1
-    while n <= length:
-        a[n - 1] = r**k / qpoch_value(r, r, k)
-        n *= q
-        k += 1
-    return DirichletSeries(a)
-
-
-def local_polynomial_ring_coefficients(
-    lead: Fraction, ratio: Fraction, kmax: int
-) -> list[Fraction]:
-    """Coefficients c_0..c_kmax in x of prod_{i>=1, j>=1} 1/(1 - lead *
-    ratio^(j-1) * x^i).
-
-    The j-product for fixed i is resummed by Euler's identity: its x^(im)
-    coefficient is lead^m / (ratio; ratio)_m.  The i-blocks are then
-    convolved.  Used with x = p^(-s), lead = 1, ratio = 1/p for the local
-    factor of the polynomial-ring zeta over Z, and with x = q^(-s), lead = q,
-    ratio = 1/q for the function-field plane.
-    """
-    out = [Fraction(0)] * (kmax + 1)
-    out[0] = Fraction(1)
-    for i in range(1, kmax + 1):
-        block = [Fraction(0)] * (kmax + 1)
-        m = 0
-        while i * m <= kmax:
-            block[i * m] = lead**m / qpoch_value(ratio, ratio, m)
-            m += 1
-        new = [Fraction(0)] * (kmax + 1)
-        for dcur, c in enumerate(out):
-            if not c:
-                continue
-            for dblk in range(0, kmax + 1 - dcur):
-                if block[dblk]:
-                    new[dcur + dblk] += c * block[dblk]
-        out = new
-    return out
+    series = euler_inverse_pochhammer(r, r, 1, _max_exponent(q, length) + 1)
+    return _at_powers(q, _t_coefficients(series), length)
 
 
 def local_cl_coefficient(p: int, k: int) -> Fraction:
     """The p^(-ks) coefficient of the polynomial-ring Cohen-Lenstra zeta
-    over Z, computed purely locally."""
+    over Z, computed purely locally: the t^k coefficient of the module
+    count series of Z_p[T]."""
     if not is_prime(p):
         raise ValueError("p must be prime")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return local_polynomial_ring_coefficients(Fraction(1), Fraction(1, p), k)[k]
+    return dvr_polynomial_local_series(p, k + 1).coeff((k,))
 
 
 def _tail_block(length: int, first_shift: int) -> DirichletSeries:
@@ -376,21 +352,13 @@ def _tail_block(length: int, first_shift: int) -> DirichletSeries:
     the geometric sequence p^(-first_shift), p^(-first_shift - 1), ..., which
     resums to p^(-first_shift * m) / (1/p; 1/p)_m.
     """
-    out = [Fraction(0)] * length
-    out[0] = Fraction(1)
-    cache: dict[tuple[int, int], Fraction] = {}
-    for n in range(2, length + 1):
-        val = Fraction(1)
-        for p, e in _factorize(n):
-            key = (p, e)
-            c = cache.get(key)
-            if c is None:
-                r = Fraction(1, p)
-                c = r ** (first_shift * e) / qpoch_value(r, r, e)
-                cache[key] = c
-            val *= c
-        out[n - 1] = val
-    return DirichletSeries(out)
+    factors = {}
+    for p in primes_up_to(length):
+        r = Fraction(1, p)
+        kmax = _max_exponent(p, length)
+        local = euler_inverse_pochhammer(r**first_shift, r, 1, kmax + 1)
+        factors[p] = _t_coefficients(local)
+    return euler_product(factors, length)
 
 
 def _int_root(n: int, i: int) -> int:
@@ -414,7 +382,7 @@ def polynomial_ring_cl_zeta(
     then pushed to index space by s -> i*s; the blocks are convolved.  The
     result is independent of ``literal_factors`` because the tail is resummed
     exactly.  Only blocks with 2^i <= length can touch the window.  For
-    S = F_q[T] the product collapses to a single geometric pattern supported
+    S = F_q[T] the product is the Feit-Fine series at t = q^(-s), supported
     on powers of q.
     """
     if literal_factors < 0:
@@ -434,13 +402,6 @@ def polynomial_ring_cl_zeta(
         return result
     if ring.kind == "FqPoly":
         q = ring.param
-        kmax = 0
-        while q ** (kmax + 1) <= length:
-            kmax += 1
-        cs = local_polynomial_ring_coefficients(Fraction(q), Fraction(1, q), kmax)
-        a = [Fraction(0)] * length
-        a[0] = Fraction(1)
-        for k in range(1, kmax + 1):
-            a[q**k - 1] = cs[k]
-        return DirichletSeries(a)
+        series = feit_fine_series(q, _max_exponent(q, length) + 1)
+        return _at_powers(q, _t_coefficients(series), length)
     raise UnsupportedRingError("polynomial-ring zeta needs a global base (Z or FqPoly)")

@@ -71,16 +71,13 @@ class CountResult:
     rejected: int  # A matrices failing an A-only relation
     inconsistent: int  # A matrices whose affine system had no solution
 
-    def to_json_dict(self, op: str, params: dict, elapsed_ms: float | None = None):
-        d = {
+    def to_json_dict(self, op: str, params: dict):
+        return {
             "op": op,
             "params": params,
             "value": str(self.value),
             "strategy": self.strategy,
         }
-        if elapsed_ms is not None:
-            d["elapsed_ms"] = elapsed_ms
-        return d
 
 
 def _compile_for_kernel(system: RelationSystem, p: int):

@@ -106,14 +106,6 @@ class RelationSystem:
     relations: tuple[Relation, ...]
     text: str = field(default="", compare=False)
 
-    @property
-    def a_only(self) -> tuple[Relation, ...]:
-        return tuple(r for r in self.relations if r.kind == "a_only")
-
-    @property
-    def b_linear(self) -> tuple[Relation, ...]:
-        return tuple(r for r in self.relations if r.kind == "b_linear")
-
     def is_b_linear(self) -> bool:
         return all(r.kind in ("a_only", "b_linear") for r in self.relations)
 

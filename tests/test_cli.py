@@ -66,6 +66,23 @@ class TestSeriesCommand:
         code, _, err = run(capsys, "series", "--id", "fat-line")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--id", "fat-line", "--q", "2", "--b", "0"),
+            ("--id", "nonred-node-local", "--q", "2", "--b", "0"),
+            ("--id", "rank-series-hyper", "--trunc", "3", "--u-trunc", "0"),
+            ("--id", "rank-series-partitions", "--trunc", "3", "--q-trunc", "0"),
+        ],
+    )
+    def test_zero_is_refused_not_replaced(self, capsys, argv):
+        # a zero b or truncation order reaches the formula, which refuses it;
+        # it is never swapped for the default
+        code, out, err = run(capsys, "series", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unused_options_are_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["series", "--id", "line", "--q", "3", "--shards", "2"])
@@ -188,6 +205,59 @@ class TestDirichletCommand:
     def test_missing_ring_parameter(self, capsys):
         code, _, err = run(capsys, "dirichlet", "--which", "cl-local", "--ring", "Zp")
         assert code == 2
+
+    RING_ARGS = {
+        "Z": ("--ring", "Z"),
+        "Zp": ("--ring", "Zp", "--p", "3"),
+        "FqPoly": ("--ring", "FqPoly", "--qparam", "4"),
+        "FqPowerSeries": ("--ring", "FqPowerSeries", "--qparam", "4"),
+    }
+
+    @pytest.mark.parametrize("length", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "which, ring",
+        [
+            ("zeta", "Z"),
+            ("zeta", "Zp"),
+            ("zeta", "FqPoly"),
+            ("zeta", "FqPowerSeries"),
+            ("cl-local", "Zp"),
+            ("cl-local", "FqPowerSeries"),
+            ("cl-poly", "Z"),
+            ("cl-poly", "FqPoly"),
+        ],
+    )
+    def test_nonpositive_length_is_exit_2(self, capsys, which, ring, length):
+        code, out, err = run(
+            capsys, "dirichlet", "--which", which, *self.RING_ARGS[ring], "--length", length
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "which, ring", [("cl-local", "Z"), ("cl-local", "FqPoly"), ("cl-poly", "Zp")]
+    )
+    def test_unsupported_ring_is_exit_2(self, capsys, which, ring):
+        code, out, err = run(capsys, "dirichlet", "--which", which, *self.RING_ARGS[ring])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_large_prime_power_parameter_is_checked_quickly(self):
+        # 2^31 - 1 is prime; the prime-power test must not try every divisor
+        src = str(Path(clzeta.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from clzeta.cli import main; sys.exit(main(sys.argv[1:]))",
+             "dirichlet", "--which", "zeta", "--ring", "FqPoly",
+             "--qparam", "2147483647", "--length", "4"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["result"]["a"] == ["1/1", "0/1", "0/1", "0/1"]
 
 
 class TestConjCommand:

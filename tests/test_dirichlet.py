@@ -12,9 +12,12 @@ from clzeta.dirichlet import (
     DirichletSeries,
     NonUnitFactorError,
     UnsupportedRingError,
+    _factorize,
     cohen_lenstra_local_zeta,
     dedekind_zeta,
     euler_product,
+    is_prime,
+    is_prime_power,
     local_cl_coefficient,
     polynomial_ring_cl_zeta,
     primes_up_to,
@@ -25,10 +28,27 @@ from clzeta.dirichlet import (
     shift,
 )
 from clzeta.partitions import aut_order, partitions
-from clzeta.formulas import feit_fine_series
+from clzeta.formulas import plane_series_from_points
 
 
 class TestRings:
+    def test_prime_powers(self):
+        assert [n for n in range(1, 33) if is_prime_power(n)] == [
+            2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32
+        ]
+        assert is_prime_power(2**31 - 1) and is_prime_power(3**19)
+        assert not is_prime_power(2 * (2**31 - 1))
+        # refused at the first divisor, with no search up to sqrt(n)
+        assert not is_prime_power(2 * (2**61 - 1))
+        assert not is_prime(2 * (2**61 - 1))
+
+    def test_factorize(self):
+        for n in range(1, 600):
+            fs = _factorize(n)
+            assert [p for p, _ in fs] == sorted({p for p, _ in fs})
+            assert all(is_prime(p) and e >= 1 for p, e in fs)
+            assert math.prod(p**e for p, e in fs) == n
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ring_Zp(4)
@@ -249,9 +269,11 @@ class TestPolynomialRingZeta:
             assert polynomial_ring_cl_zeta(ring_Z(), 48, literal_factors=j) == base
 
     def test_function_field_case_is_feit_fine(self):
+        # the prefix reads the Feit-Fine closed form; compare it with the
+        # product over the closed points of the line
         for q in (2, 3):
             zt = polynomial_ring_cl_zeta(ring_FqPoly(q), q**4)
-            ff = feit_fine_series(q, 5)
+            ff = plane_series_from_points(q, 5)
             for k in range(5):
                 if q**k <= q**4:
                     assert zt[q**k] == ff.coeff((k,))
@@ -307,6 +329,26 @@ class TestLocalCoefficient:
         assert local_cl_coefficient(2, 2) == module_groupoid_count(2, 2)
         assert local_cl_coefficient(3, 2) == module_groupoid_count(3, 2)
         assert local_cl_coefficient(2, 3) == module_groupoid_count(2, 3)
+
+
+class TestNonpositiveLength:
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_nonpositive_length_is_refused(self, length):
+        z = dedekind_zeta(ring_Z(), 4)
+        for build in (
+            *(
+                lambda r=r: dedekind_zeta(r, length)
+                for r in (ring_Z(), ring_Zp(3), ring_FqPoly(4), ring_FqPowerSeries(2))
+            ),
+            lambda: cohen_lenstra_local_zeta(ring_Zp(2), length),
+            lambda: euler_product({2: [1, 1]}, length),
+            lambda: polynomial_ring_cl_zeta(ring_Z(), length),
+            lambda: polynomial_ring_cl_zeta(ring_FqPoly(2), length),
+            lambda: DirichletSeries.unit(length),
+            lambda: shift(z, 1, 0, length=length),
+        ):
+            with pytest.raises(ValueError, match="length"):
+                build()
 
 
 class TestSerialization:
