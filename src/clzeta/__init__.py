@@ -2,6 +2,7 @@
 
 Submodules:
 
+* :mod:`clzeta.arith` -- prime test, integer roots, one prime-factor sieve.
 * :mod:`clzeta.series` -- truncated multivariate power series over Q, exact.
 * :mod:`clzeta.partitions` -- partitions and module statistics (|Aut|, |End|).
 * :mod:`clzeta.dirichlet` -- formal Dirichlet prefixes, zeta factories.

@@ -12,10 +12,10 @@ ran; both live outside the comparison payload.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import dirichlet as dd
 from . import formulas as fb
@@ -87,7 +87,7 @@ def _cmd_series(args) -> int:
         if args.q is None:
             raise SystemExit2("--q is required for this formula")
         series = fb.SPECIALIZED_FORMULAS[args.id](
-            Fraction(args.q), args.trunc, b=1 if args.b is None else args.b
+            args.q, args.trunc, b=1 if args.b is None else args.b
         )
     elif args.id in fb.FORMAL_FORMULAS:
         series = fb.FORMAL_FORMULAS[args.id](
@@ -194,32 +194,25 @@ def _cmd_verify(args) -> int:
         "format": args.format,
     }
     ac_map = {ac.lower(): suite for ac, suite in vf.ACCEPTANCE_ORDER}
-    if args.suite == "all":
-        names = [suite for _, suite in vf.ACCEPTANCE_ORDER]
-    else:
-        names = [ac_map.get(args.suite.lower(), args.suite)]
+    names = list(vf.SUITES) if args.suite == "all" else [ac_map.get(args.suite, args.suite)]
+    given = {
+        "--q": ("q_values", None if args.q is None else (args.q,)),
+        "--b": ("b_values", None if args.b is None else (args.b,)),
+        "--nmax": ("n_max", args.nmax),
+        "--shards": ("shards", args.shards),
+        "--budget": ("budget", args.budget),
+    }
+    given = {flag: kv for flag, kv in given.items() if kv[1] is not None}
+    taken = [inspect.signature(vf.SUITES[name]).parameters for name in names]
+    unused = [flag for flag, (key, _) in given.items() if not any(key in t for t in taken)]
+    if unused:
+        raise SystemExit2(f"suite {args.suite!r} takes no {', '.join(unused)}")
     checks = []
-    for name in names:
-        kwargs = {}
-        if name in ("feit-fine", "fat-line", "nonred-node"):
-            if args.q is not None:
-                kwargs["q_values"] = (args.q,)
-            if args.b is not None and name != "feit-fine":
-                kwargs["b_values"] = (args.b,)
-            if args.nmax is not None:
-                kwargs["n_max"] = args.nmax
-            kwargs["shards"] = args.shards
-            kwargs["budget"] = args.budget
-        elif name in (
-            "aut-end",
-            "zt-dirichlet",
-            "surjection",
-            "framing",
-            "conjugacy",
-            "strategies",
-        ):
-            kwargs["budget"] = args.budget
+    for name, params in zip(names, taken):
+        kwargs = {key: value for key, value in given.values() if key in params}
         checks += vf.run_suite(name, **kwargs)
+    if not checks:
+        raise SystemExit2(f"suite {args.suite!r} ran no check with these options")
     summary = {
         "suites": names,
         "checks": len(checks),
@@ -307,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
     p.add_argument("--nmax", type=int, default=None)
-    common(p)
+    p.add_argument("--shards", type=int, default=None)
+    common(p, shards=False)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("conj", help="conjugacy classes of Aut of a module")
@@ -324,13 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, dd.DirichletError) as exc:
+    except (SystemExit2, BudgetExceededError, ValueError, KeyError, dd.DirichletError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

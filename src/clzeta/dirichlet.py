@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import arith
 from .formulas import (
     dvr_polynomial_local_series,
     euler_inverse_pochhammer,
@@ -44,47 +45,6 @@ class UnsupportedRingError(DirichletError):
 
 class NonUnitFactorError(DirichletError):
     """An Euler factor whose leading coefficient is not 1."""
-
-
-def _smallest_factor(n: int, start: int = 2) -> int:
-    """Smallest divisor d >= start of n >= 2, or n itself when there is
-    none up to sqrt(n)."""
-    d = start
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and _smallest_factor(n) == n
-
-
-def primes_up_to(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if is_prime(p)]
-
-
-def is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = _smallest_factor(n)
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while n > 1:
-        p = _smallest_factor(n, p)
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
 
 
 def _check_length(length: int) -> None:
@@ -109,10 +69,10 @@ class BaseRing:
             if self.param is not None:
                 raise ValueError("Z takes no parameter")
         elif self.kind == "Zp":
-            if not (isinstance(self.param, int) and is_prime(self.param)):
+            if not (isinstance(self.param, int) and arith.is_prime(self.param)):
                 raise ValueError("Zp requires a prime parameter")
         elif self.kind in ("FqPoly", "FqPowerSeries"):
-            if not (isinstance(self.param, int) and is_prime_power(self.param)):
+            if not (isinstance(self.param, int) and arith.is_prime_power(self.param)):
                 raise ValueError(f"{self.kind} requires a prime-power parameter")
         else:
             raise ValueError(f"unknown ring kind {self.kind!r}")
@@ -292,17 +252,18 @@ def euler_product(
     _check_length(length)
     locals_: dict[int, list[Fraction]] = {}
     for p, cs in factors.items():
-        if not is_prime(p):
+        if not arith.is_prime(p):
             raise ValueError(f"Euler factor index {p} is not prime")
         cs = [Fraction(c) for c in cs]
         if not cs or cs[0] != 1:
             raise NonUnitFactorError(f"local factor at {p} does not start with 1")
         locals_[p] = cs
+    spf = arith.smallest_prime_factors(length)
     out = [Fraction(0)] * length
     out[0] = Fraction(1)
     for n in range(2, length + 1):
         val = Fraction(1)
-        for p, e in _factorize(n):
+        for p, e in arith.factorize(n, spf):
             cs = locals_.get(p)
             if cs is None:
                 # an absent prime acts as the unit factor, killing a_{p^e}
@@ -338,7 +299,7 @@ def local_cl_coefficient(p: int, k: int) -> Fraction:
     """The p^(-ks) coefficient of the polynomial-ring Cohen-Lenstra zeta
     over Z, computed purely locally: the t^k coefficient of the module
     count series of Z_p[T]."""
-    if not is_prime(p):
+    if not arith.is_prime(p):
         raise ValueError("p must be prime")
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -353,22 +314,12 @@ def _tail_block(length: int, first_shift: int) -> DirichletSeries:
     resums to p^(-first_shift * m) / (1/p; 1/p)_m.
     """
     factors = {}
-    for p in primes_up_to(length):
+    for p in arith.primes_up_to(length):
         r = Fraction(1, p)
         kmax = _max_exponent(p, length)
         local = euler_inverse_pochhammer(r**first_shift, r, 1, kmax + 1)
         factors[p] = _t_coefficients(local)
     return euler_product(factors, length)
-
-
-def _int_root(n: int, i: int) -> int:
-    """Largest m with m^i <= n."""
-    m = int(round(n ** (1.0 / i)))
-    while m**i > n:
-        m -= 1
-    while (m + 1) ** i <= n:
-        m += 1
-    return m
 
 
 def polynomial_ring_cl_zeta(
@@ -391,7 +342,7 @@ def polynomial_ring_cl_zeta(
         result = DirichletSeries.unit(length)
         i = 1
         while 2**i <= length:
-            block_len = _int_root(length, i)
+            block_len = arith.int_root(length, i)
             zeta = dedekind_zeta(ring_Z(), block_len)
             g = DirichletSeries.unit(block_len)
             for j in range(1, literal_factors + 1):

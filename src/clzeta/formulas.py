@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .arith import mobius, smallest_prime_factors
 from .partitions import partitions_up_to
 from .series import INF, TruncSeries, VarSpec, inverse_pochhammer, pochhammer, qpoch_value
 
@@ -88,26 +89,10 @@ def dvr_polynomial_local_series(q, t_order: int) -> TruncSeries:
     return out
 
 
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
-
-
 def count_irreducibles(q: int, d: int) -> int:
     """Number of monic irreducible polynomials of degree d over F_q."""
-    total = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
+    spf = smallest_prime_factors(d)
+    total = sum(mobius(e, spf) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
     assert total % d == 0
     return total // d
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..dirichlet import is_prime
+from ..arith import is_prime
 from ..partitions import Partition
 from ..series import qpoch_value
 from . import budget as _budget

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from ..dirichlet import is_prime
+from ..arith import is_prime
 from ..series import TruncSeries, VarSpec
 from . import budget as _budget
 from ._kernels_py import _mat_mul, _powers
@@ -72,12 +72,7 @@ class CountResult:
     inconsistent: int  # A matrices whose affine system had no solution
 
     def to_json_dict(self, op: str, params: dict):
-        return {
-            "op": op,
-            "params": params,
-            "value": str(self.value),
-            "strategy": self.strategy,
-        }
+        return {"op": op, "params": params, **asdict(self), "value": str(self.value)}
 
 
 def _compile_for_kernel(system: RelationSystem, p: int):

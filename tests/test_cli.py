@@ -1,5 +1,6 @@
 """Command-line contracts: payload schemas, determinism, exit codes."""
 
+import functools
 import json
 import os
 import subprocess
@@ -88,6 +89,15 @@ class TestSeriesCommand:
             main(["series", "--id", "line", "--q", "3", "--shards", "2"])
         assert err.value.code == 2
 
+    def test_dvr_poly_matches_feit_fine(self, capsys):
+        # the product over closed points takes the integer q as given
+        terms = []
+        for formula in ("dvr-poly", "feit-fine"):
+            code, out, _ = run(capsys, "series", "--id", formula, "--q", "2", "--trunc", "5")
+            assert code == 0
+            terms.append(json.loads(out)["result"]["terms"])
+        assert terms[0] == terms[1]
+
     def test_reproducible_payload(self, capsys):
         reports = []
         for _ in range(2):
@@ -111,6 +121,15 @@ class TestOracleCommand:
         assert report["result"]["op"] == "count_matrix_points"
         assert report["result"]["value"] == "273"
         assert report["result"]["strategy"] == "linear-in-B"
+
+    def test_payload_counts_scanned_rejected_inconsistent(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle", "--relations", "A*B - B*A, A", "--q", "2", "--n", "2"
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["value"] == "16"
+        assert (result["scanned"], result["rejected"], result["inconsistent"]) == (16, 15, 0)
 
     def test_report_names_the_kernel(self, capsys):
         for size in (["--n", "1"], ["--nmax", "1"]):
@@ -308,3 +327,44 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "bogus"])
         assert err.value.code == 2
+
+    def test_no_check_at_all_is_exit_2(self, capsys):
+        # a budget that skips every module must not read as a pass
+        code, out, err = run(capsys, "verify", "--suite", "aut-end", "--budget", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("--suite", "euler", "--budget", "5"), "--budget"),
+            (("--suite", "aut-end", "--q", "3"), "--q"),
+            (("--suite", "feit-fine", "--b", "2"), "--b"),
+            (("--suite", "permutations", "--shards", "2"), "--shards"),
+        ],
+    )
+    def test_option_no_selected_suite_takes_is_exit_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+
+    def test_options_reach_the_suites_that_take_them(self, capsys, monkeypatch):
+        # stand-ins keep each suite's signature through functools.wraps, as
+        # the benchmark's tracing wrappers do
+        received = {}
+        for name, suite in list(verify.SUITES.items()):
+            def stand_in(*args, _name=name, **kwargs):
+                received[_name] = kwargs
+                return [Check(_name, True, "0", "0")]
+
+            monkeypatch.setitem(verify.SUITES, name, functools.wraps(suite)(stand_in))
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--q", "3")
+        assert code == 0
+        assert json.loads(out)["result"]["suites"] == [s for _, s in verify.ACCEPTANCE_ORDER]
+        takes_q = {"feit-fine", "fat-line", "nonred-node"}
+        assert received == {
+            name: {"q_values": (3,)} if name in takes_q else {} for name in verify.SUITES
+        }

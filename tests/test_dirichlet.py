@@ -8,19 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clzeta.arith import (
+    factorize,
+    is_prime,
+    is_prime_power,
+    primes_up_to,
+    smallest_prime_factors,
+)
 from clzeta.dirichlet import (
     DirichletSeries,
     NonUnitFactorError,
     UnsupportedRingError,
-    _factorize,
     cohen_lenstra_local_zeta,
     dedekind_zeta,
     euler_product,
-    is_prime,
-    is_prime_power,
     local_cl_coefficient,
     polynomial_ring_cl_zeta,
-    primes_up_to,
     ring_FqPoly,
     ring_FqPowerSeries,
     ring_Z,
@@ -43,8 +46,9 @@ class TestRings:
         assert not is_prime(2 * (2**61 - 1))
 
     def test_factorize(self):
+        spf = smallest_prime_factors(600)
         for n in range(1, 600):
-            fs = _factorize(n)
+            fs = factorize(n, spf)
             assert [p for p, _ in fs] == sorted({p for p, _ in fs})
             assert all(is_prime(p) and e >= 1 for p, e in fs)
             assert math.prod(p**e for p, e in fs) == n
