@@ -1,10 +1,17 @@
-"""Pure-Python counting kernel for the matrix-point oracle.
+"""Pure-Python counting kernel and the mod-p matrix helpers of both oracles.
 
-Same contract as the compiled C module ``_kernels``; the package picks
-whichever is importable (see ``clzeta.oracle.matrix_points``).  The kernel
-walks a contiguous odometer range of the A-matrix space, filters A by the
-A-only relations, assembles the stacked affine system the B-linear relations
-impose on B, and histograms the nullity of that system.
+``nullity_histogram`` has the same contract as the compiled C module
+``_kernels``; the package picks whichever is importable (see
+``clzeta.oracle.matrix_points``).  The kernel walks a contiguous odometer
+range of the A-matrix space, filters A by the A-only relations, assembles the
+stacked affine system the B-linear relations impose on B, and histograms the
+nullity of that system.
+
+Its helpers ``_mat_mul``, ``_powers`` and ``_row_reduce`` serve the module
+oracle too.  A matrix is a flat row-major list of n*n integers whose row i is
+reduced mod ``moduli[i]``: every row is mod p for a matrix over F_p, and row
+i is mod p^(lam_i) for an endomorphism of the sum of Z/p^(lam_i) (see
+``clzeta.oracle.endomorphisms``).
 """
 
 from __future__ import annotations
@@ -12,29 +19,69 @@ from __future__ import annotations
 COMPILED = False
 
 
-def _mat_mul(x, y, n, p):
+def _mat_mul(x, y, n, moduli):
+    """The product x*y, with row i reduced mod ``moduli[i]``."""
     out = [0] * (n * n)
     for i in range(n):
         base = i * n
+        m = moduli[i]
         for k in range(n):
             a = x[base + k]
             if a:
                 kb = k * n
                 for j in range(n):
-                    out[base + j] = (out[base + j] + a * y[kb + j]) % p
+                    out[base + j] = (out[base + j] + a * y[kb + j]) % m
     return out
 
 
-def _powers(a, n, p, max_pow):
+def _powers(a, n, moduli, max_pow):
+    """[a^0, a^1, ..., a^max_pow], row i reduced mod ``moduli[i]``."""
     eye = [0] * (n * n)
     for i in range(n):
-        eye[i * n + i] = 1 % p
+        eye[i * n + i] = 1 % moduli[i]
     pows = [eye]
     cur = eye
     for _ in range(max_pow):
-        cur = _mat_mul(cur, a, n, p)
+        cur = _mat_mul(cur, a, n, moduli)
         pows.append(cur)
     return pows
+
+
+def _row_reduce(rows, pivot_cols, p):
+    """Gauss-Jordan elimination mod the prime p, in place, pivoting in the
+    first ``pivot_cols`` columns; entries must already be reduced mod p.
+
+    Returns the rank.  Afterwards rows[rank:] are zero in the pivot columns,
+    so a later column of them holds what is left of an affine right-hand
+    side.
+    """
+    rank = 0
+    nrows = len(rows)
+    for col in range(pivot_cols):
+        piv = -1
+        for r in range(rank, nrows):
+            if rows[r][col]:
+                piv = r
+                break
+        if piv < 0:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        ncols = len(prow)
+        inv = pow(prow[col], p - 2, p)
+        if inv != 1:
+            for c in range(col, ncols):
+                prow[c] = prow[c] * inv % p
+        for r in range(nrows):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rr = rows[r]
+                for c in range(col, ncols):
+                    rr[c] = (rr[c] - f * prow[c]) % p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 def nullity_histogram(n, p, start, stop, a_filters, b_relations, max_pow):
@@ -72,10 +119,11 @@ def nullity_histogram(n, p, start, stop, a_filters, b_relations, max_pow):
         idx //= p
 
     a = list(digits)  # row-major entries, a[i*n+j]
+    row_moduli = (p,) * n
     ncols = nn + 1  # augmented column holds the affine right-hand side
 
     for _ in range(start, stop):
-        pows = _powers(a, n, p, max_pow)
+        pows = _powers(a, n, row_moduli, max_pow)
 
         ok = True
         for rel in a_filters:
@@ -115,37 +163,8 @@ def nullity_histogram(n, p, start, stop, a_filters, b_relations, max_pow):
                         row[nn] = rhs % p
                         rows.append(row)
 
-            rank = 0
-            bad = False
-            nrows = len(rows)
-            for col in range(nn):
-                piv = -1
-                for r in range(rank, nrows):
-                    if rows[r][col]:
-                        piv = r
-                        break
-                if piv < 0:
-                    continue
-                rows[rank], rows[piv] = rows[piv], rows[rank]
-                inv = pow(rows[rank][col], p - 2, p)
-                prow = rows[rank]
-                if inv != 1:
-                    for c in range(col, ncols):
-                        prow[c] = prow[c] * inv % p
-                for r in range(nrows):
-                    if r != rank and rows[r][col]:
-                        f = rows[r][col]
-                        rr = rows[r]
-                        for c in range(col, ncols):
-                            rr[c] = (rr[c] - f * prow[c]) % p
-                rank += 1
-                if rank == nrows:
-                    break
-            for r in range(rank, nrows):
-                if rows[r][nn]:
-                    bad = True
-                    break
-            if bad:
+            rank = _row_reduce(rows, nn, p)
+            if any(row[nn] for row in rows[rank:]):
                 inconsistent += 1
             else:
                 hist[nn - rank] += 1

@@ -1,12 +1,16 @@
 """Brute-force enumeration over finite modules of a discrete valuation ring.
 
-A module of type lam over Z_p is the direct sum of Z/p^(lam_i).  Elements
-are coordinate tuples; an endomorphism is stored as the tuple of images of
-the standard generators, which is a well-defined endomorphism exactly when
-the j-th image is killed by p^(lam_j).  Those image lists are produced by
-filtering the raw element set, and endomorphism counts are products of
-their sizes, so the counts below are independent of the closed-form orders
-they are tested against.
+A module of type lam over Z_p is the direct sum N of Z/p^(lam_i).  Elements
+are coordinate tuples.  An endomorphism f is stored as a flat row-major
+l x l tuple of integers, l = len(lam): entry (i, j) is the i-th coordinate
+of f(e_j), and row i lives mod p^(lam_i).  Composition is the matrix product
+of ``_kernels_py._mat_mul`` with one modulus per row, the same helper the
+matrix oracle uses with every row mod p, since for N = (Z/p)^n End(N) is
+M_n(F_p).  The tuple is a well-defined endomorphism exactly when
+p^(lam_j) * f_ij = 0 mod p^(lam_i).  The allowed values of each entry are
+found by filtering, and endomorphism counts are products of their numbers,
+so the counts below are independent of the closed-form orders they are
+tested against.
 
 Generating tuples are counted by Moebius inversion over the lattice of
 submodules invariant under a set of endomorphisms (P. Hall, 1936): the
@@ -27,6 +31,8 @@ from ..arith import is_prime
 from ..partitions import Partition
 from ..series import qpoch_value
 from . import budget as _budget
+from ._kernels_py import _row_reduce
+from .permutations import _compose
 
 
 class PGroupModule:
@@ -59,20 +65,16 @@ class PGroupModule:
     def add(self, x, y):
         return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
 
-    def scale(self, c, x):
-        return tuple((c * a) % m for a, m in zip(x, self.moduli))
-
-    def torsion_elements(self, b: int) -> list[tuple[int, ...]]:
-        """Elements killed by p^b, found by filtering the whole module."""
-        pb = self.p**b
-        return [x for x in self.elements() if all((pb * a) % m == 0 for a, m in zip(x, self.moduli))]
-
     # -- endomorphisms ----------------------------------------------------
 
-    def generator_image_choices(self) -> list[list[tuple[int, ...]]]:
-        """For each generator e_j, the elements it may map to (the
-        p^(lam_j)-torsion)."""
-        return [self.torsion_elements(e) for e in self.type.parts]
+    def entry_choices(self) -> list[list[int]]:
+        """For each entry (i, j), row-major, the values v mod p^(lam_i) with
+        p^(lam_j) * v = 0: the i-th coordinates that e_j may map to."""
+        return [
+            [v for v in range(mi) if mj * v % mi == 0]
+            for mi in self.moduli
+            for mj in self.moduli
+        ]
 
     def endo_count_bound(self) -> int:
         """Size of the endomorphism enumeration space,
@@ -81,57 +83,23 @@ class PGroupModule:
         return self.p ** sum(min(a, b) for a in parts for b in parts)
 
     def endomorphisms(self):
-        """All endomorphisms, as tuples of generator images."""
-        return itertools.product(*self.generator_image_choices())
+        """All endomorphisms, as flat row-major tuples."""
+        return itertools.product(*self.entry_choices())
 
     def apply(self, endo, x):
-        out = self.zero
-        for coord, image in zip(x, endo):
-            if coord:
-                out = self.add(out, self.scale(coord, image))
-        return out
-
-    def compose(self, f, g):
-        """f after g, as an endomorphism."""
-        return tuple(self.apply(f, gj) for gj in g)
-
-    def identity_endo(self):
-        l = len(self.moduli)
+        l = len(x)
         return tuple(
-            tuple(1 if i == j else 0 for i in range(l)) for j in range(l)
+            sum(a * b for a, b in zip(endo[i * l : i * l + l], x)) % m
+            for i, m in enumerate(self.moduli)
         )
-
-    def endo_add(self, f, g):
-        return tuple(self.add(a, b) for a, b in zip(f, g))
-
-    def endo_scale(self, c, f):
-        return tuple(self.scale(c, v) for v in f)
-
-    def endo_is_zero(self, f):
-        return all(v == self.zero for v in f)
 
     def endo_invertible(self, endo) -> bool:
         """Invertibility via the induced map on N/pN (surjective iff
         bijective for a finite module)."""
         p = self.p
         l = len(self.moduli)
-        if l == 0:
-            return True
-        rows = [[endo[j][i] % p for j in range(l)] for i in range(l)]
-        rank = 0
-        for col in range(l):
-            piv = next((r for r in range(rank, l) if rows[r][col]), None)
-            if piv is None:
-                return False
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = pow(rows[rank][col], p - 2, p)
-            rows[rank] = [v * inv % p for v in rows[rank]]
-            for r in range(l):
-                if r != rank and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank == l
+        rows = [[v % p for v in endo[i * l : i * l + l]] for i in range(l)]
+        return _row_reduce(rows, l, p) == l
 
     def endo_bijective_bruteforce(self, endo) -> bool:
         """Bijectivity checked by applying the map to every element."""
@@ -145,25 +113,27 @@ def enumerate_endomorphisms(
     b: int | None = None,
     budget: int | None = None,
 ) -> int:
-    """Count endomorphisms from the enumerated generator image lists.
+    """Count endomorphisms from the enumerated entry lists.
 
     mode: "all", "invertible", or "torsion" (with b >= 1, counting the maps
-    killed by pi^b).  "all" and "torsion" multiply per-generator list sizes,
-    since the images are chosen independently; "invertible" walks every map.
+    killed by pi^b).  "all" and "torsion" multiply per-entry list sizes,
+    since the entries are chosen independently; "invertible" walks every map.
     """
     needed = module.endo_count_bound()
     _budget.check("enumerate_endomorphisms", needed, budget, _budget.DEFAULT_ENDO_BUDGET)
     if mode == "all":
-        return math.prod(len(c) for c in module.generator_image_choices())
+        return math.prod(len(c) for c in module.entry_choices())
     if mode == "invertible":
         return sum(1 for e in module.endomorphisms() if module.endo_invertible(e))
     if mode == "torsion":
         if b is None or b < 1:
             raise ValueError("torsion mode needs b >= 1")
-        # a map is killed by pi^b iff every generator image is
-        killed = set(module.torsion_elements(b))
+        # a map is killed by pi^b iff every entry is, row i mod p^(lam_i)
+        pb = module.p**b
+        row_moduli = [m for m in module.moduli for _ in module.moduli]
         return math.prod(
-            sum(1 for v in c if v in killed) for c in module.generator_image_choices()
+            sum(1 for v in c if pb * v % m == 0)
+            for c, m in zip(module.entry_choices(), row_moduli)
         )
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -207,9 +177,6 @@ def conj_classes_aut(module: PGroupModule, budget: int | None = None) -> int:
     perm_set = set(perms)
     assert len(perm_set) == len(perms)
 
-    def p_compose(f, g):
-        return tuple(f[g[i]] for i in range(len(g)))
-
     def p_inverse(f):
         out = [0] * len(f)
         for i, v in enumerate(f):
@@ -223,7 +190,7 @@ def conj_classes_aut(module: PGroupModule, budget: int | None = None) -> int:
         if x in seen:
             continue
         classes += 1
-        orbit = {p_compose(p_compose(g, x), inverses[g]) for g in perms}
+        orbit = {_compose(_compose(g, x), inverses[g]) for g in perms}
         seen |= orbit
     return classes
 

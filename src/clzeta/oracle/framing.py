@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import budget as _budget
 from .endomorphisms import PGroupModule, automorphisms, generating_tuple_count
+from .matrix_points import _relation_pairs
 from .relations import RelationSystem, parse_relations
 
 
@@ -27,15 +28,6 @@ class FramingStats:
     points: int  # |C_N(R)|
 
 
-def _endo_word(module: PGroupModule, word, A, B):
-    out = module.identity_endo()
-    for g, e in word.factors:
-        m = A if g == "A" else B
-        for _ in range(e):
-            out = module.compose(out, m)
-    return out
-
-
 def relation_points(
     system: RelationSystem | str, module: PGroupModule, budget: int | None = None
 ):
@@ -45,31 +37,7 @@ def relation_points(
     bound = module.endo_count_bound()
     _budget.check("relation_points", bound * bound, budget, _budget.DEFAULT_ENDO_BUDGET)
     endos = list(module.endomorphisms())
-    out = []
-    for A in endos:
-        for B in endos:
-            ok = True
-            for rel in system.relations:
-                acc = None
-                for t in rel.terms:
-                    w = (
-                        module.identity_endo()
-                        if t.word is None
-                        else _endo_word(module, t.word, A, B)
-                    )
-                    w = module.endo_scale(t.coeff % module_char(module), w)
-                    acc = w if acc is None else module.endo_add(acc, w)
-                if acc is not None and not module.endo_is_zero(acc):
-                    ok = False
-                    break
-            if ok:
-                out.append((A, B))
-    return out
-
-
-def module_char(module: PGroupModule) -> int:
-    """Exponent of the module: scaling coefficients live mod this."""
-    return max(module.moduli, default=1)
+    return list(_relation_pairs(system, endos, len(module.moduli), module.moduli))
 
 
 def _closure(module: PGroupModule, gens, endos):

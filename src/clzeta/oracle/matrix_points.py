@@ -104,8 +104,8 @@ def _compile_for_kernel(system: RelationSystem, p: int):
 
 
 def _shard_ranges(total: int, shards: int):
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
+    """At most ``shards`` contiguous, nonempty pieces of range(total)."""
+    shards = min(shards, total)
     step, extra = divmod(total, shards)
     lo = 0
     for s in range(shards):
@@ -121,8 +121,6 @@ def _count_linear(system: RelationSystem, n: int, p: int, shards: int):
     rejected = 0
     inconsistent = 0
     for lo, hi in _shard_ranges(p**nn, shards):
-        if lo == hi:
-            continue
         hist, rej, inc = _kernels.nullity_histogram(
             n, p, lo, hi, a_filters, b_relations, max_pow
         )
@@ -134,39 +132,50 @@ def _count_linear(system: RelationSystem, n: int, p: int, shards: int):
     return CountResult(value, "linear-in-B", p**nn, rejected, inconsistent)
 
 
-def _word_value(word, pows, n, p):
-    """The matrix of a word, from the power tables ``pows[g][e]`` = g^e."""
-    if word is None:
-        return pows["A"][0]
-    out = None
-    for g, e in word.factors:
-        out = pows[g][e] if out is None else _mat_mul(out, pows[g][e], n, p)
-    return out
+def _relation_pairs(system: RelationSystem, space, n: int, moduli):
+    """Yield every pair (A, B) drawn from ``space`` at which each relation
+    of the system vanishes.
+
+    ``space`` is a list of flat row-major n x n matrices whose row i lives
+    mod ``moduli[i]``: all of M_n(F_p) for the full strategy, or the
+    endomorphisms of a module (``clzeta.oracle.framing``).  A word is the
+    product of its generators' power tables, the constant word is A^0, and a
+    relation vanishes when its row i is 0 mod ``moduli[i]``.
+    """
+    nn = n * n
+    rels = [
+        [(t.coeff, t.word.factors if t.word else (("A", 0),)) for t in rel.terms]
+        for rel in system.relations
+    ]
+    top = {"A": 0, "B": 0}
+    for rel in rels:
+        for _, factors in rel:
+            for g, e in factors:
+                top[g] = max(top[g], e)
+    b_tables = [(b, _powers(b, n, moduli, top["B"])) for b in space]
+    for a in space:
+        a_pows = _powers(a, n, moduli, top["A"])
+        for b, b_pows in b_tables:
+            pows = {"A": a_pows, "B": b_pows}
+            for rel in rels:
+                acc = [0] * nn
+                for coeff, factors in rel:
+                    (g, e), *rest = factors
+                    w = pows[g][e]
+                    for g, e in rest:
+                        w = _mat_mul(w, pows[g][e], n, moduli)
+                    for i in range(nn):
+                        acc[i] += coeff * w[i]
+                if any(v % moduli[i // n] for i, v in enumerate(acc)):
+                    break
+            else:
+                yield a, b
 
 
 def _count_full(system: RelationSystem, n: int, p: int):
-    nn = n * n
-    top = {"A": 0, "B": 0}
-    for rel in system.relations:
-        for t in rel.terms:
-            for g, e in t.word.factors if t.word is not None else ():
-                top[g] = max(top[g], e)
-    count = 0
-    for a in itertools.product(range(p), repeat=nn):
-        a_pows = _powers(a, n, p, top["A"])
-        for b in itertools.product(range(p), repeat=nn):
-            pows = {"A": a_pows, "B": _powers(b, n, p, top["B"])}
-            for rel in system.relations:
-                acc = [0] * nn
-                for t in rel.terms:
-                    w = _word_value(t.word, pows, n, p)
-                    for i in range(nn):
-                        acc[i] += t.coeff * w[i]
-                if any(v % p for v in acc):
-                    break
-            else:
-                count += 1
-    return CountResult(count, "full", p ** (2 * nn), 0, 0)
+    space = list(itertools.product(range(p), repeat=n * n))
+    count = sum(1 for _ in _relation_pairs(system, space, n, (p,) * n))
+    return CountResult(count, "full", p ** (2 * n * n), 0, 0)
 
 
 def count_matrix_points(
@@ -184,6 +193,8 @@ def count_matrix_points(
     :class:`clzeta.oracle.budget.BudgetExceededError` when the enumeration
     space exceeds the budget.
     """
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
     if isinstance(system, str):
         system = parse_relations(system)
     uses_kernel = strategy in ("auto", "linear") and system.is_b_linear()
@@ -194,8 +205,6 @@ def count_matrix_points(
     if n < 0:
         raise ValueError("n must be nonnegative")
     nn = n * n
-    if n == 0:
-        return CountResult(1, "linear-in-B" if strategy != "full" else "full", 1, 0, 0)
 
     if strategy == "auto":
         strategy = "linear" if system.is_b_linear() else "full"

@@ -167,6 +167,30 @@ class TestOracleCommand:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "2^31" in proc.stderr
 
+    def test_shards_far_beyond_the_a_space_stay_cheap(self):
+        # only min(shards, q^(n^2)) ranges are walked; walking all 10^8 of
+        # them took 20 s
+        src = str(Path(clzeta.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from clzeta.cli import main; sys.exit(main(sys.argv[1:]))",
+             "oracle", "--relations", "A*B-B*A", "--q", "2", "--n", "1",
+             "--shards", "100000000"],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["result"]["value"] == "4"
+
+    def test_zero_shards_is_exit_2_for_the_full_strategy(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "--relations", "B*B", "--q", "2", "--n", "1", "--shards", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "shards" in err
+
     def test_series_mode(self, capsys):
         code, out, _ = run(
             capsys, "oracle", "--relations", "A*B-B*A", "--q", "2", "--nmax", "2"

@@ -2,6 +2,7 @@
 conjugacy classes, module groupoid counts."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from clzeta.oracle import (
     module_groupoid_count,
     surj_prob,
 )
+from clzeta.oracle._kernels_py import _mat_mul
 from clzeta.oracle.endomorphisms import generating_tuple_count
 from clzeta.oracle.framing import _stable_tuple_count_direct
 from clzeta.partitions import (
@@ -31,18 +33,31 @@ class TestModuleBasics:
         assert m.size == 8
         assert len(list(m.elements())) == 8
 
-    def test_torsion_elements(self):
-        m = PGroupModule(2, Partition((2, 1)))
-        assert len(m.torsion_elements(1)) == 4  # 2Z/4 + Z/2
-        assert len(m.torsion_elements(2)) == 8
-
-    def test_composition_is_application(self):
-        m = PGroupModule(3, Partition((2, 1)))
-        endos = list(m.endomorphisms())
-        f, g = endos[7], endos[23]
-        fg = m.compose(f, g)
-        for x in m.elements():
-            assert m.apply(fg, x) == m.apply(f, m.apply(g, x))
+    def test_flat_maps_compose_apply_and_enumerate(self):
+        # f, g run over all of End when it has at most 32 maps and over 16
+        # sampled pairs otherwise (up to 3^9 maps for (Z/3)^3)
+        rng = random.Random(0)
+        for p in (2, 3):
+            for lam in partitions_up_to(3):
+                m = PGroupModule(p, lam)
+                endos = list(m.endomorphisms())
+                assert len(set(endos)) == len(endos) == end_order(lam, p)
+                if len(endos) <= 32:
+                    pairs = [(f, g) for f in endos for g in endos]
+                else:
+                    pairs = [(rng.choice(endos), rng.choice(endos)) for _ in range(16)]
+                elems = list(m.elements())
+                l = len(m.moduli)
+                for f, g in pairs:
+                    fg = _mat_mul(f, g, l, m.moduli)
+                    for x in elems:
+                        assert m.apply(fg, x) == m.apply(f, m.apply(g, x))
+                for f in {f for f, _ in pairs}:
+                    for x in elems:
+                        for y in elems:
+                            assert m.apply(f, m.add(x, y)) == m.add(
+                                m.apply(f, x), m.apply(f, y)
+                            )
 
 
 class TestCounts:

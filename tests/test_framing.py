@@ -6,6 +6,7 @@ import pytest
 
 from clzeta.oracle import (
     PGroupModule,
+    count_matrix_points,
     relation_points,
     stable_framing_stats,
 )
@@ -29,8 +30,41 @@ class TestRelationPoints:
         # pairs (A, B) with AB = BA and 2B = 0 inside End(Z/4 + Z/2)
         m = PGroupModule(2, Partition((2, 1)))
         points = relation_points("A*B - B*A, 2*B", m)
+        assert len(points) == 176
         for a, b in points:
-            assert m.endo_is_zero(m.endo_scale(2, b))
+            for x in m.elements():
+                assert m.apply(b, m.add(x, x)) == m.zero
+
+    @pytest.mark.parametrize(
+        ("rel", "n", "q"),
+        [
+            ("A*B - B*A", 1, 2),
+            ("A*B - B*A", 1, 3),
+            ("A*B - B*A", 1, 5),
+            ("A*B - B*A", 2, 2),
+            ("A*B - B*A, A^2", 2, 2),
+            ("A*B - B*A, A*B", 2, 2),
+            ("A*B - B*A, A^2*B", 2, 2),
+        ],
+    )
+    def test_vector_space_matches_linear_kernel(self, rel, n, q):
+        # End((Z/q)^n) is M_n(F_q): the module oracle and the independent
+        # linear-in-B kernel count the same pairs
+        points = relation_points(rel, PGroupModule(q, Partition((1,) * n)))
+        assert len(points) == count_matrix_points(rel, n, q, strategy="linear").value
+
+    @pytest.mark.parametrize(
+        ("p", "lam", "counts"),
+        [
+            (2, (2, 1), (352, 176, 6, 32)),
+            (3, (1, 1), (945, 81, 110, 81)),
+            (3, (2,), (81, 9, 2, 9)),
+        ],
+    )
+    def test_counts_on_mixed_and_cyclic_modules(self, p, lam, counts):
+        m = PGroupModule(p, Partition(lam))
+        rels = ("A*B - B*A", "A*B - B*A, 2*B", "A^2 - 1, B*A - 2*A*B", "B*B - A")
+        assert tuple(len(relation_points(r, m)) for r in rels) == counts
 
 
 class TestStability:

@@ -54,6 +54,18 @@ class TestCounts:
     def test_empty_dimension(self):
         assert count_matrix_points("A*B - B*A", 0, 2).value == 1
 
+    def test_empty_dimension_resolves_the_strategy(self):
+        res = count_matrix_points("B*B", 0, 2)
+        assert (res.value, res.strategy) == (1, "full")
+
+    def test_empty_dimension_refuses_linear_on_nonlinear(self):
+        with pytest.raises(ValueError, match="not linear in B"):
+            count_matrix_points("B*B", 0, 2, strategy="linear")
+
+    def test_empty_dimension_refuses_unknown_strategy(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            count_matrix_points("A*B - B*A", 0, 2, strategy="bogus")
+
     def test_empty_system_counts_all_pairs(self):
         assert count_matrix_points("", 1, 3).value == 9
         assert count_matrix_points("", 2, 2).value == 256
@@ -96,6 +108,11 @@ class TestShards:
         # more shards than points in the A space
         got = count_matrix_points("A*B - B*A", 1, 2, shards=64)
         assert got.value == 4
+
+    @pytest.mark.parametrize("strategy", ["auto", "linear", "full"])
+    def test_nonpositive_shards_are_refused(self, strategy):
+        with pytest.raises(ValueError, match="shards"):
+            count_matrix_points("A*B - B*A", 1, 2, strategy=strategy, shards=0)
 
 
 class TestBudget:
