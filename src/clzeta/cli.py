@@ -27,6 +27,7 @@ from .oracle import (
     matrix_point_series,
 )
 from .oracle.endomorphisms import PGroupModule, conj_classes_aut
+from .oracle.matrix_points import KERNEL_IMPORT_ERROR
 from .partitions import Partition
 from .series import TruncSeries
 
@@ -71,6 +72,17 @@ def _emit(args, command: dict, result, checks=None, started=None, kernel=None) -
     return 1 if failed else 0
 
 
+def _announce_fallback() -> None:
+    """One stderr line when the compiled kernel failed to import."""
+    if KERNEL_IMPORT_ERROR is not None:
+        reason = KERNEL_IMPORT_ERROR.splitlines()[0]
+        print(
+            f"note: compiled kernel unavailable ({reason}); "
+            "counting with the Python fallback kernel",
+            file=sys.stderr,
+        )
+
+
 def _cmd_series(args) -> int:
     started = time.monotonic()
     command = {
@@ -104,6 +116,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_oracle(args) -> int:
     started = time.monotonic()
+    _announce_fallback()
     command = {
         "subcommand": "oracle",
         "relations": args.relations,
@@ -183,6 +196,7 @@ def _cmd_dirichlet(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.monotonic()
+    _announce_fallback()
     command = {
         "subcommand": "verify",
         "suite": args.suite,

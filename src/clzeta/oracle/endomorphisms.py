@@ -12,12 +12,22 @@ found by filtering, and endomorphism counts are products of their numbers,
 so the counts below are independent of the closed-form orders they are
 tested against.
 
+Automorphisms are counted through N/pN: by Nakayama's lemma f is invertible
+iff its reduction mod p is.  The lifts of each column f(e_j) are grouped by
+their residue vector mod p, and a depth-first walk over residue columns
+extends a prefix only by a column outside its F_p-span.  Each leaf is a box
+of lifts, one fiber per column, so |Aut| is the sum of the products of fiber
+sizes and ``automorphisms`` expands the same boxes.
+
 Generating tuples are counted by Moebius inversion over the lattice of
 submodules invariant under a set of endomorphisms (P. Hall, 1936): the
 number of d-tuples generating N is the sum over members H of
 mu(H, N) * |H|^d.  With no endomorphisms the lattice is every subgroup and
 the count gives the surjection probability; with a commuting pair (A, B) it
-gives the stable framings of ``framing``.
+gives the stable framings of ``framing``.  The walk runs on element codes:
+element x is its index 0..|N|-1 in ``elements()`` order, addition is one
+table per module, an endomorphism is a code -> code table, and a subgroup
+is an int bitmask with bit x set for each member x.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ class PGroupModule:
         self.type = lam
         self.moduli = tuple(p**e for e in lam.parts)
         self.size = math.prod(self.moduli) if self.moduli else 1
+        self._add_table = None
 
     def __repr__(self):
         return f"PGroupModule(p={self.p}, type={self.type.parts})"
@@ -64,6 +75,35 @@ class PGroupModule:
 
     def add(self, x, y):
         return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
+
+    def code(self, x) -> int:
+        """The index of x in ``elements()`` order: mixed radix, the last
+        coordinate least significant.  The zero element has code 0."""
+        c = 0
+        for v, m in zip(x, self.moduli):
+            c = c * m + v
+        return c
+
+    def addition_table(self, budget: int | None = None):
+        """Addition on element codes: ``table[x][y]`` is the code of x + y.
+
+        Built once per module and kept.  Its |N|^2 entries are checked
+        against the surjection budget first, on every call, and refused with
+        BudgetExceededError before anything is allocated.
+        """
+        _budget.check("addition_table", self.size**2, budget, _budget.DEFAULT_SURJ_BUDGET)
+        if self._add_table is None:
+            # appending a coordinate mod m turns code c into c * m + a
+            rows = [(0,)]
+            for m in self.moduli:
+                shifted = [[(a + b) % m for b in range(m)] for a in range(m)]
+                rows = [
+                    tuple(s * m + c for s in row for c in shifted[a])
+                    for row in rows
+                    for a in range(m)
+                ]
+            self._add_table = rows
+        return self._add_table
 
     # -- endomorphisms ----------------------------------------------------
 
@@ -93,6 +133,10 @@ class PGroupModule:
             for i, m in enumerate(self.moduli)
         )
 
+    def endo_table(self, endo) -> tuple[int, ...]:
+        """The map on element codes: entry x is the code of endo(x)."""
+        return tuple(self.code(self.apply(endo, x)) for x in self.elements())
+
     def endo_invertible(self, endo) -> bool:
         """Invertibility via the induced map on N/pN (surjective iff
         bijective for a finite module)."""
@@ -117,14 +161,15 @@ def enumerate_endomorphisms(
 
     mode: "all", "invertible", or "torsion" (with b >= 1, counting the maps
     killed by pi^b).  "all" and "torsion" multiply per-entry list sizes,
-    since the entries are chosen independently; "invertible" walks every map.
+    since the entries are chosen independently; "invertible" sums the boxes
+    of ``_aut_boxes``.
     """
     needed = module.endo_count_bound()
     _budget.check("enumerate_endomorphisms", needed, budget, _budget.DEFAULT_ENDO_BUDGET)
     if mode == "all":
         return math.prod(len(c) for c in module.entry_choices())
     if mode == "invertible":
-        return sum(1 for e in module.endomorphisms() if module.endo_invertible(e))
+        return sum(math.prod(map(len, box)) for box in _aut_boxes(module))
     if mode == "torsion":
         if b is None or b < 1:
             raise ValueError("torsion mode needs b >= 1")
@@ -138,11 +183,57 @@ def enumerate_endomorphisms(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _aut_boxes(module: PGroupModule):
+    """Yield the automorphisms as disjoint boxes: lists of column lifts, one
+    list per column, whose every product is an automorphism.
+
+    By Nakayama's lemma f is invertible iff f mod p is, i.e. iff the residue
+    columns are linearly independent over F_p.  The lifts of column j, the
+    products of the filtered entry choices (i, j), are grouped by residue.
+    """
+    p = module.p
+    l = len(module.moduli)
+    if l == 0:
+        yield []
+        return
+    choices = module.entry_choices()
+    fibers = []
+    for j in range(l):
+        by_residue: dict[tuple[int, ...], list] = {}
+        for col in itertools.product(*choices[j::l]):
+            by_residue.setdefault(tuple(v % p for v in col), []).append(col)
+        fibers.append(list(by_residue.items()))
+    yield from _residue_walk(fibers, p, {(0,) * l}, [])
+
+
+def _residue_walk(fibers, p, span, box):
+    """Extend ``box``, the lift lists of columns 0..j-1 whose residues span
+    ``span``, depth first: column j takes each residue outside the span in
+    turn, and the last column keeps the lifts of all residues outside it."""
+    j = len(box)
+    if j == len(fibers) - 1:
+        last = [col for r, lifts in fibers[j] if r not in span for col in lifts]
+        if last:
+            yield box + [last]
+        return
+    for r, lifts in fibers[j]:
+        if r not in span:
+            grown = {
+                tuple((a + c * b) % p for a, b in zip(s, r)) for s in span for c in range(p)
+            }
+            yield from _residue_walk(fibers, p, grown, box + [lifts])
+
+
 def automorphisms(module: PGroupModule, budget: int | None = None):
-    """The invertible endomorphisms, as a list."""
+    """The invertible endomorphisms, as a sorted list (the order of
+    ``endomorphisms()``)."""
     needed = module.endo_count_bound()
     _budget.check("automorphisms", needed, budget, _budget.DEFAULT_ENDO_BUDGET)
-    return [e for e in module.endomorphisms() if module.endo_invertible(e)]
+    return sorted(
+        tuple(itertools.chain.from_iterable(zip(*cols)))
+        for box in _aut_boxes(module)
+        for cols in itertools.product(*box)
+    )
 
 
 def module_groupoid_count(p: int, k: int, budget: int | None = None) -> Fraction:
@@ -167,13 +258,7 @@ def conj_classes_aut(module: PGroupModule, budget: int | None = None) -> int:
     auts = automorphisms(module, budget=budget)
     _budget.check("conj_classes_aut", len(auts), budget, _budget.DEFAULT_CONJ_BUDGET)
 
-    elems = list(module.elements())
-    index = {x: i for i, x in enumerate(elems)}
-
-    def as_perm(endo):
-        return tuple(index[module.apply(endo, x)] for x in elems)
-
-    perms = [as_perm(a) for a in auts]
+    perms = [module.endo_table(a) for a in auts]
     perm_set = set(perms)
     assert len(perm_set) == len(perms)
 
@@ -195,67 +280,67 @@ def conj_classes_aut(module: PGroupModule, budget: int | None = None) -> int:
     return classes
 
 
-def _orbit(module: PGroupModule, x, endos) -> set:
-    """x together with its images under every word in ``endos``."""
-    seen = {x}
-    queue = [x]
-    while queue:
-        y = queue.pop()
-        for e in endos:
-            z = module.apply(e, y)
-            if z not in seen:
-                seen.add(z)
-                queue.append(z)
-    return seen
-
-
-def _extend_span(module: PGroupModule, span: frozenset, gens) -> frozenset:
-    """Additive span of the subgroup ``span`` and ``gens``: each new
-    generator g adds the cosets span + c*g for c below its order mod span."""
-    for g in gens:
-        if g in span:
+def _join(add, maps, mask, elems, x):
+    """The least submodule containing the invariant submodule H, given as
+    its bitmask and its list of element codes, and the element x: H plus
+    the additive span of the orbit of x under the code tables ``maps``.
+    Each orbit element g outside the span so far adds the cosets
+    span + c*g for c below its order modulo the span."""
+    orbit = [x]
+    seen = 1 << x
+    for y in orbit:
+        for t in maps:
+            z = t[y]
+            if not seen >> z & 1:
+                seen |= 1 << z
+                orbit.append(z)
+    for g in orbit:
+        if mask >> g & 1:
             continue
-        grown = set(span)
+        new = []
         shift = g
-        while shift not in span:
-            grown.update(module.add(h, shift) for h in span)
-            shift = module.add(shift, g)
-        span = frozenset(grown)
-    return span
+        while not mask >> shift & 1:
+            row = add[shift]
+            new += [row[h] for h in elems]
+            shift = row[g]
+        elems = elems + new
+        mask |= sum(1 << y for y in new)
+    return mask, elems
 
 
 def _invariant_lattice(module: PGroupModule, endos, budget: int | None = None):
-    """All submodules of N invariant under ``endos``, as frozensets, smallest
-    first (so N is last).
+    """All submodules of N invariant under ``endos``, as bitmasks over
+    element codes, smallest first (so N is last).
 
     Walk from {0}: each member H is joined with one representative x of
-    every coset x + H, since all of a coset give the same join.  The join is
-    H plus the additive span of the ``endos``-orbit of x, which is again
-    invariant.  The Moebius pass over the result is quadratic in its length
-    L, so the walk stops with BudgetExceededError once L^2 exceeds the
-    surjection budget.
+    every coset x + H, since all of a coset give the same join, which is
+    again invariant.  The Moebius pass over the result is quadratic in its
+    length L, so the walk stops with BudgetExceededError once L^2 exceeds
+    the surjection budget, as does the addition table when |N|^2 does.
     """
     limit = _budget.resolve(budget, _budget.DEFAULT_SURJ_BUDGET)
-    elems = list(module.elements())
-    bottom = frozenset([module.zero])
-    members = {bottom}
-    queue = [bottom]
+    add = module.addition_table(limit)
+    maps = [module.endo_table(e) for e in endos]
+    members = {1: [0]}  # bitmask -> element codes
+    queue = [1]
     while queue:
         h = queue.pop()
-        covered = set()
-        for x in elems:
-            if x in covered:
+        elems = members[h]
+        covered = h
+        for x in range(module.size):
+            if covered >> x & 1:
                 continue
-            covered.update(module.add(x, y) for y in h)
-            join = _extend_span(module, h, _orbit(module, x, endos))
+            row = add[x]
+            covered |= sum(1 << row[y] for y in elems)
+            join, join_elems = _join(add, maps, h, elems, x)
             if join not in members:
-                members.add(join)
+                members[join] = join_elems
                 if len(members) ** 2 > limit:
                     raise _budget.BudgetExceededError(
                         "invariant_lattice", len(members) ** 2, limit
                     )
                 queue.append(join)
-    return sorted(members, key=len)
+    return sorted(members, key=int.bit_count)
 
 
 def generating_tuple_count(
@@ -269,8 +354,11 @@ def generating_tuple_count(
     mu[-1] = 1  # mu(N, N)
     for i in range(len(lattice) - 2, -1, -1):
         h = lattice[i]
-        mu[i] = -sum(m for k, m in zip(lattice[i + 1 :], mu[i + 1 :]) if m and h < k)
-    return sum(m * len(h) ** d for h, m in zip(lattice, mu))
+        # members after h are at least as large, so h & k == h means h < k
+        mu[i] = -sum(
+            m for k, m in zip(lattice[i + 1 :], mu[i + 1 :]) if m and h & k == h
+        )
+    return sum(m * h.bit_count() ** d for h, m in zip(lattice, mu))
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,19 @@ from . import budget as _budget
 from ._kernels_py import _mat_mul, _powers
 from .relations import RelationSystem, parse_relations
 
+#: Why the compiled kernel failed to import, or None when it imported or
+#: CLZETA_FORCE_PY chose the Python kernel on purpose.
+KERNEL_IMPORT_ERROR: str | None = None
+
 if os.environ.get("CLZETA_FORCE_PY"):
     from . import _kernels_py as _kernels
 else:
     try:
         from . import _kernels  # type: ignore[attr-defined]
-    except ImportError:
+    except ImportError as exc:
         from . import _kernels_py as _kernels
+
+        KERNEL_IMPORT_ERROR = f"{type(exc).__name__}: {exc}"
 
 #: True when the compiled kernel is in use.
 KERNEL_COMPILED = bool(getattr(_kernels, "COMPILED", False))

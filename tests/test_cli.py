@@ -302,6 +302,70 @@ class TestDirichletCommand:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["a"] == ["1/1", "0/1", "0/1", "0/1"]
 
+    @pytest.mark.parametrize(
+        ("p", "k"), [("2", "101"), ("2", "200"), ("101", "100"), ("2305843009213693951", "60")]
+    )
+    def test_local_coefficient_beyond_the_bound_is_refused_at_once(self, p, k):
+        # k = 200 at p = 2 computed for 25 s and then failed to print; the
+        # large-p cases computed for 12 s and over 30 s
+        src = str(Path(clzeta.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from clzeta.cli import main; sys.exit(main(sys.argv[1:]))",
+             "dirichlet", "--which", "an-local", "--p", p, "--k", k],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert f"k = {k}" in proc.stderr
+
+
+class TestKernelFallbackNote:
+    """oracle and verify announce the Python fallback on stderr when the
+    compiled kernel fails to import, and stay quiet when CLZETA_FORCE_PY
+    chooses it."""
+
+    BLOCK = "sys.modules['clzeta.oracle._kernels'] = None; "
+
+    @staticmethod
+    def _run(prelude, argv, force_py):
+        src = str(Path(clzeta.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "CLZETA_FORCE_PY"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        if force_py:
+            env["CLZETA_FORCE_PY"] = "1"
+        return subprocess.run(
+            [sys.executable, "-c",
+             "import sys; " + prelude
+             + "from clzeta.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    COMMANDS = [
+        ("oracle", "--relations", "A*B - B*A", "--q", "2", "--n", "1"),
+        ("verify", "--suite", "permutations"),
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_failed_import_is_announced(self, argv):
+        proc = self._run(self.BLOCK, argv, force_py=False)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["kernel"] == "python"
+        assert proc.stderr.count("\n") == 1
+        assert "Python fallback" in proc.stderr
+        assert "clzeta.oracle._kernels" in proc.stderr
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_forced_fallback_is_silent(self, argv):
+        proc = self._run(self.BLOCK, argv, force_py=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["kernel"] == "python"
+        assert proc.stderr == ""
+
 
 class TestConjCommand:
     def test_count(self, capsys):

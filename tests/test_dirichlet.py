@@ -16,6 +16,7 @@ from clzeta.arith import (
     smallest_prime_factors,
 )
 from clzeta.dirichlet import (
+    LOCAL_K_MAX,
     DirichletSeries,
     NonUnitFactorError,
     UnsupportedRingError,
@@ -333,6 +334,14 @@ class TestLocalCoefficient:
         assert local_cl_coefficient(2, 2) == module_groupoid_count(2, 2)
         assert local_cl_coefficient(3, 2) == module_groupoid_count(3, 2)
         assert local_cl_coefficient(2, 3) == module_groupoid_count(2, 3)
+
+    def test_bounds(self):
+        # the largest admitted k for p = 2^61 - 1 still prints in decimal
+        value = local_cl_coefficient(2305843009213693951, 20)
+        assert len(str(value.denominator)) < 4300
+        for p, k in [(2305843009213693951, 21), (2, LOCAL_K_MAX + 1), (101, 100)]:
+            with pytest.raises(ValueError, match="too large"):
+                local_cl_coefficient(p, k)
 
 
 class TestNonpositiveLength:

@@ -3,6 +3,7 @@ conjugacy classes, module groupoid counts."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,14 +11,16 @@ import pytest
 from clzeta.oracle import (
     BudgetExceededError,
     PGroupModule,
+    automorphisms,
     conj_classes_aut,
     enumerate_endomorphisms,
     module_groupoid_count,
+    relation_points,
     surj_prob,
 )
 from clzeta.oracle._kernels_py import _mat_mul
-from clzeta.oracle.endomorphisms import generating_tuple_count
-from clzeta.oracle.framing import _stable_tuple_count_direct
+from clzeta.oracle.endomorphisms import _invariant_lattice, generating_tuple_count
+from clzeta.oracle.framing import _closure, _stable_tuple_count_direct
 from clzeta.partitions import (
     Partition,
     aut_order,
@@ -108,6 +111,28 @@ class TestCounts:
         with pytest.raises(BudgetExceededError):
             enumerate_endomorphisms(PGroupModule(3, Partition((1,) * 4)), "all")
 
+    @staticmethod
+    def _dfs_gate_modules():
+        for p in (2, 3):
+            for lam in partitions_up_to(4):
+                m = PGroupModule(p, lam)
+                if m.endo_count_bound() <= 3**8:
+                    yield m
+        for lam in ((1,), (2,), (1, 1)):
+            yield PGroupModule(5, Partition(lam))
+
+    def test_residue_walk_matches_per_map_tests(self):
+        # the N/pN walk against the per-map rank test and brute-force
+        # bijectivity, on every map of End
+        for m in self._dfs_gate_modules():
+            by_rank = [e for e in m.endomorphisms() if m.endo_invertible(e)]
+            by_image = [e for e in m.endomorphisms() if m.endo_bijective_bruteforce(e)]
+            auts = automorphisms(m)
+            assert enumerate_endomorphisms(m, "invertible") == len(by_rank), m
+            assert by_rank == by_image, m
+            assert len(set(auts)) == len(auts), m
+            assert auts == by_rank, m
+
     def test_torsion_needs_b(self):
         with pytest.raises(ValueError):
             enumerate_endomorphisms(PGroupModule(2, Partition((1,))), "torsion")
@@ -167,6 +192,22 @@ class TestSurjProb:
         assert res.enumerated is None
         assert res.closed_form > 0
 
+    def test_addition_table_budget_skips_enumeration(self):
+        # |N|^1 = 2^13 fits the default budget 2^24, but the addition table
+        # would hold |N|^2 = 2^26 entries: refused before any allocation
+        m = PGroupModule(2, Partition((1,) * 13))
+        tracemalloc.start()
+        try:
+            res = surj_prob(m, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.enumerated is None
+        assert m._add_table is None
+        assert peak < 2**20
+        with pytest.raises(BudgetExceededError):
+            m.addition_table()
+
     def test_lattice_budget_skips_enumeration(self):
         # |N|^1 = 256 fits the budget, but (Z/2)^8 has far more than
         # 2^5 subgroups, so the lattice walk stops early
@@ -194,3 +235,62 @@ class TestGeneratingTupleCount:
                     assert generating_tuple_count(m, (), d) == _stable_tuple_count_direct(
                         m, (), d
                     )
+
+
+class TestInvariantLattice:
+    @staticmethod
+    def _members(m, lattice):
+        return [frozenset(x for x in range(m.size) if h >> x & 1) for h in lattice]
+
+    @pytest.mark.parametrize(
+        ("p", "lam", "count"),
+        [
+            (2, (1, 1), 5),
+            (2, (1, 1, 1), 16),
+            (2, (1, 1, 1, 1), 67),
+            (3, (1, 1), 6),
+            (3, (1, 1, 1), 28),
+            (3, (1, 1, 1, 1), 212),
+            (2, (2, 1), 8),
+        ],
+    )
+    def test_subgroup_counts_and_closure(self, p, lam, count):
+        m = PGroupModule(p, Partition(lam))
+        add = m.addition_table()
+        members = self._members(m, _invariant_lattice(m, ()))
+        assert len(members) == len(set(members)) == count
+        assert members[0] == {0} and len(members[-1]) == m.size
+        for h in members:
+            assert all(add[x][y] in h for x in h for y in h)
+
+    def test_addition_table_is_addition_on_codes(self):
+        for p, lam in [(2, (2, 1)), (3, (1, 1)), (2, (3, 2, 1))]:
+            m = PGroupModule(p, Partition(lam))
+            elems = list(m.elements())
+            assert [m.code(x) for x in elems] == list(range(m.size))
+            add = m.addition_table()
+            for x in elems:
+                for y in elems:
+                    assert elems[add[m.code(x)][m.code(y)]] == m.add(x, y)
+
+    def test_invariant_members_are_the_closures(self):
+        # every member is closed under addition and each endomorphism table,
+        # and the members are exactly the closures of all subsets of N
+        for p, lam in [(2, (2, 1)), (3, (1, 1))]:
+            m = PGroupModule(p, Partition(lam))
+            add = m.addition_table()
+            elems = list(m.elements())
+            for a, b in relation_points("A*B - B*A", m)[::97]:
+                tables = [m.endo_table(a), m.endo_table(b)]
+                members = self._members(m, _invariant_lattice(m, (a, b)))
+                for h in members:
+                    assert all(add[x][y] in h for x in h for y in h)
+                    assert all(t[x] in h for t in tables for x in h)
+                subsets = (
+                    [x for i, x in enumerate(elems) if s >> i & 1]
+                    for s in range(2**m.size)
+                )
+                closures = {
+                    frozenset(map(m.code, _closure(m, gens, (a, b)))) for gens in subsets
+                }
+                assert set(members) == closures
