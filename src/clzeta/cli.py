@@ -12,6 +12,7 @@ ran; both live outside the comparison payload.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -258,6 +259,7 @@ class SystemExit2(Exception):
     """Usage-level error, mapped to exit code 2."""
 
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clzeta",
@@ -328,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SystemExit2, BudgetExceededError, ValueError, KeyError, dd.DirichletError) as exc:

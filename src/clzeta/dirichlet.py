@@ -14,9 +14,13 @@ is assembled from finitely many literal shifted-zeta factors while the
 remaining tail of each block is resummed exactly: grouped per prime p, the
 tail's p^(-ms) coefficient is the complete homogeneous sum of a geometric
 sequence, m-fold products of p^(-j) over j >= J, which telescopes to
-p^(-Jm) / (1/p; 1/p)_m.  No numeric cutoff is involved; every coefficient of
-the returned prefix is exact.  It is checked against the local factors,
-which are the polynomial-ring series of :mod:`clzeta.formulas`.
+p^(-Jm) / (1/p; 1/p)_m.  The L literal factors zeta(s + j - 1) of a block
+are twisted by n^(L-1), which distributes over convolution as n^c is
+completely multiplicative: they become the ints n^(L-j), are convolved on
+ints and are untwisted once.  Products loop over the sparser operand's
+nonzero support.  No numeric cutoff is involved; every coefficient of the
+returned prefix is exact.  It is checked against the local factors, which
+are the polynomial-ring series of :mod:`clzeta.formulas`.
 """
 
 from __future__ import annotations
@@ -105,16 +109,32 @@ def ring_FqPowerSeries(q: int) -> BaseRing:
     return BaseRing("FqPowerSeries", q)
 
 
+def _convolve(a: Sequence, b: Sequence, length: int) -> list:
+    """Dirichlet convolution up to ``length`` of coefficient lists (a[0] at n = 1)."""
+    sa = [(d, x) for d, x in enumerate(a[:length], 1) if x]
+    sb = [(e, y) for e, y in enumerate(b[:length], 1) if y]
+    if len(sa) > len(sb):
+        sa, sb = sb, sa
+    out = [0] * length
+    for d, x in sa:
+        top = length // d
+        for e, y in sb:
+            if e > top:
+                break
+            out[d * e - 1] += x * y
+    return out
+
+
 class DirichletSeries:
     """Finite prefix a_1..a_N of a formal Dirichlet series."""
 
     __slots__ = ("_a",)
 
     def __init__(self, coeffs: Sequence):
-        a = [Fraction(c) for c in coeffs]
+        a = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not a:
             raise ValueError("length must be >= 1")
-        object.__setattr__(self, "_a", tuple(a))
+        object.__setattr__(self, "_a", a)
 
     def __setattr__(self, *_):
         raise AttributeError("DirichletSeries is immutable")
@@ -154,16 +174,7 @@ class DirichletSeries:
         if not isinstance(other, DirichletSeries):
             return NotImplemented
         n = min(self.length, other.length)
-        out = [Fraction(0)] * n
-        for d in range(1, n + 1):
-            ad = self._a[d - 1]
-            if not ad:
-                continue
-            for e in range(1, n // d + 1):
-                be = other._a[e - 1]
-                if be:
-                    out[d * e - 1] += ad * be
-        return DirichletSeries(out)
+        return DirichletSeries(_convolve(self._a, other._a, n))
 
     def to_json_dict(self) -> dict:
         return {
@@ -322,6 +333,16 @@ def local_cl_coefficient(p: int, k: int) -> Fraction:
     return dvr_polynomial_local_series(p, k + 1).coeff((k,))
 
 
+def _tail_factor(p: int, length: int, first_shift: int) -> list[Fraction]:
+    """Local factor at p of the tail block, one coefficient per p^m <= length.
+    Above sqrt(length) only 1 and p^(-first_shift) / (1 - 1/p) fit."""
+    if p * p > length:
+        return [Fraction(1), Fraction(p, p**first_shift * (p - 1))]
+    r = Fraction(1, p)
+    local = euler_inverse_pochhammer(r**first_shift, r, 1, _max_exponent(p, length) + 1)
+    return _t_coefficients(local)
+
+
 def _tail_block(length: int, first_shift: int) -> DirichletSeries:
     """Exact prefix of prod_{j >= first_shift} zeta_Z(s + j).
 
@@ -329,13 +350,16 @@ def _tail_block(length: int, first_shift: int) -> DirichletSeries:
     the geometric sequence p^(-first_shift), p^(-first_shift - 1), ..., which
     resums to p^(-first_shift * m) / (1/p; 1/p)_m.
     """
-    factors = {}
-    for p in arith.primes_up_to(length):
-        r = Fraction(1, p)
-        kmax = _max_exponent(p, length)
-        local = euler_inverse_pochhammer(r**first_shift, r, 1, kmax + 1)
-        factors[p] = _t_coefficients(local)
+    factors = {p: _tail_factor(p, length, first_shift) for p in arith.primes_up_to(length)}
     return euler_product(factors, length)
+
+
+def _literal_block(length: int, count: int) -> DirichletSeries:
+    """zeta_Z(s) ... zeta_Z(s + count - 1), convolved on ints twisted by n^(count - 1)."""
+    g = [1] + [0] * (length - 1)
+    for j in range(1, count + 1):
+        g = _convolve(g, [n ** (count - j) for n in range(1, length + 1)], length)
+    return DirichletSeries([Fraction(c, n ** max(count - 1, 0)) for n, c in enumerate(g, 1)])
 
 
 def polynomial_ring_cl_zeta(
@@ -356,16 +380,11 @@ def polynomial_ring_cl_zeta(
         raise ValueError("literal_factors must be nonnegative")
     if ring.kind == "Z":
         result = DirichletSeries.unit(length)
-        i = 1
-        while 2**i <= length:
-            block_len = arith.int_root(length, i)
-            zeta = dedekind_zeta(ring_Z(), block_len)
-            g = DirichletSeries.unit(block_len)
-            for j in range(1, literal_factors + 1):
-                g = g * shift(zeta, 1, j - 1)
-            g = g * _tail_block(block_len, literal_factors)
+        # blocks i >= 2 live on i-th powers: multiply them before the dense i = 1
+        for i in reversed(range(1, length.bit_length())):
+            size = arith.int_root(length, i)
+            g = _literal_block(size, literal_factors) * _tail_block(size, literal_factors)
             result = result * shift(g, i, 0, length=length)
-            i += 1
         return result
     if ring.kind == "FqPoly":
         q = ring.param

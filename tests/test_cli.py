@@ -11,7 +11,7 @@ import pytest
 
 import clzeta
 from clzeta import verify
-from clzeta.cli import main
+from clzeta.cli import build_parser, main
 from clzeta.oracle import kernel_name
 from clzeta.verify import Check
 
@@ -372,6 +372,46 @@ class TestConjCommand:
         code, out, _ = run(capsys, "conj", "--p", "3", "--type", "1,1")
         assert code == 0
         assert json.loads(out)["result"]["classes"] == 8
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process: calls must not see each
+    other, whatever their order and whether an earlier call was refused."""
+
+    SERIES = ("series", "--id", "fat-line", "--b", "2", "--q", "2", "--trunc", "5")
+    VERIFY = ("verify", "--suite", "euler")
+
+    @staticmethod
+    def _reports(capsys, *argvs):
+        reports = []
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            report = json.loads(out)
+            report.pop("elapsed_ms")
+            reports.append((code, report))
+        return reports
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_order_does_not_change_the_output(self, capsys):
+        forward = self._reports(capsys, self.SERIES, self.VERIFY)
+        backward = self._reports(capsys, self.VERIFY, self.SERIES)
+        assert forward == backward[::-1]
+        assert [code for code, _ in forward] == [0, 0]
+
+    def test_refused_options_do_not_leak(self, capsys):
+        (fresh,) = self._reports(capsys, self.VERIFY)
+        code, out, err = run(capsys, *self.VERIFY, "--budget", "5")
+        assert code == 2 and out == "" and "--budget" in err
+        with pytest.raises(SystemExit) as exc:
+            main([*self.SERIES, "--shards", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert self._reports(capsys, self.VERIFY, self.SERIES) == [
+            fresh,
+            *self._reports(capsys, self.SERIES),
+        ]
 
 
 class TestVerifyCommand:

@@ -1,6 +1,7 @@
 """Dirichlet-core: prefixes, zeta factories, Euler products, and the
 polynomial-ring Cohen-Lenstra zeta."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -17,6 +18,11 @@ from clzeta.arith import (
 )
 from clzeta.dirichlet import (
     LOCAL_K_MAX,
+    _convolve,
+    _literal_block,
+    _max_exponent,
+    _t_coefficients,
+    _tail_factor,
     DirichletSeries,
     NonUnitFactorError,
     UnsupportedRingError,
@@ -32,7 +38,27 @@ from clzeta.dirichlet import (
     shift,
 )
 from clzeta.partitions import aut_order, partitions
-from clzeta.formulas import plane_series_from_points
+from clzeta.formulas import euler_inverse_pochhammer, plane_series_from_points
+
+
+@st.composite
+def sparse_prefixes(draw):
+    """A prefix of 1..60 int or Fraction entries with 0-90% forced zeros."""
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7))
+    values = draw(st.lists(entry, min_size=1, max_size=60))
+    zero_share = draw(st.integers(0, 9)) / 10
+    rng = draw(st.randoms(use_true_random=False))
+    return [0 if rng.random() < zero_share else v for v in values]
+
+
+def _schoolbook(a, b, length):
+    """Dirichlet convolution over every pair (d, e) with d*e <= length."""
+    out = [0] * length
+    for d in range(1, length + 1):
+        for e in range(1, length + 1):
+            if d * e <= length:
+                out[d * e - 1] += a[d - 1] * b[e - 1]
+    return out
 
 
 class TestRings:
@@ -106,6 +132,34 @@ class TestMul:
         lhs = shift(shift(f, m1, n1), m2, n2)
         rhs = shift(f, m1 * m2, m1 * n2 + n1)
         assert lhs == rhs
+
+
+    @settings(max_examples=100)
+    @given(sparse_prefixes(), sparse_prefixes(), st.data())
+    def test_support_convolution_matches_schoolbook(self, a, b, data):
+        n = min(len(a), len(b))
+        length = data.draw(st.integers(1, n))
+        assert _convolve(a, b, length) == _schoolbook(a, b, length)
+        assert _convolve(b, a, length) == _schoolbook(a, b, length)
+        assert DirichletSeries(a) * DirichletSeries(b) == DirichletSeries(
+            _schoolbook(a, b, n)
+        )
+
+
+class TestConstructor:
+    def test_exact_fractions_are_kept_and_others_converted(self):
+        x = Fraction(2, 3)
+        f = DirichletSeries([x, 1, "1/3", 0.5])
+        assert f.coefficients()[0] is x
+        assert f.coefficients() == (x, 1, Fraction(1, 3), Fraction(1, 2))
+        assert all(type(c) is Fraction for c in f.coefficients())
+        assert DirichletSeries(iter([1, 2])).coefficients() == (1, 2)
+
+    def test_empty_prefix_is_refused(self):
+        with pytest.raises(ValueError):
+            DirichletSeries([])
+        with pytest.raises(ValueError):
+            DirichletSeries(iter(()))
 
 
 class TestShift:
@@ -269,9 +323,38 @@ class TestPolynomialRingZeta:
 
     def test_independent_of_literal_factor_cutoff(self):
         # the exact tail resummation makes the literal/tail split irrelevant
-        base = polynomial_ring_cl_zeta(ring_Z(), 48, literal_factors=4)
-        for j in (0, 1, 2, 7):
-            assert polynomial_ring_cl_zeta(ring_Z(), 48, literal_factors=j) == base
+        for length in (48, 300):
+            base = polynomial_ring_cl_zeta(ring_Z(), length, literal_factors=4)
+            for j in (0, 1, 2, 7):
+                assert polynomial_ring_cl_zeta(ring_Z(), length, literal_factors=j) == base
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 64, 300])
+    def test_integer_literal_block_matches_fraction_products(self, length):
+        # the n^(L-1) twist distributes over convolution, so the int product
+        # untwisted once equals the product of the shifted zetas themselves
+        zeta = dedekind_zeta(ring_Z(), length)
+        expected = DirichletSeries.unit(length)
+        for count in range(6):
+            if count:
+                expected = expected * shift(zeta, 1, count - 1)
+            assert _literal_block(length, count) == expected
+
+    def test_two_term_tail_factors_match_the_series(self):
+        length = 2048
+        for p in primes_up_to(length):
+            r = Fraction(1, p)
+            t_order = _max_exponent(p, length) + 1
+            for first_shift in range(6):
+                series = euler_inverse_pochhammer(r**first_shift, r, 1, t_order)
+                assert _tail_factor(p, length, first_shift) == _t_coefficients(series)
+
+    def test_prefix_digest_is_pinned(self):
+        # sha256 of the 512 prefix's JSON, as computed by the Fraction
+        # products over every literal factor
+        text = polynomial_ring_cl_zeta(ring_Z(), 512).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6b0e5c11e68a4307add213a485b429ca8491c1d36780c3a432feabd1c06bd744"
+        )
 
     def test_function_field_case_is_feit_fine(self):
         # the prefix reads the Feit-Fine closed form; compare it with the
