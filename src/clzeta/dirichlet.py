@@ -207,8 +207,9 @@ def shift(
         aj = f[j] if j <= f.length else None
         if aj is None:
             raise ValueError(f"prefix of f too short for index {j}^{m}")
-        if aj:
-            out[j**m - 1] = aj * Fraction(1, j**n) if n >= 0 else aj * j ** (-n)
+        if aj and n:
+            aj = aj * Fraction(1, j**n) if n > 0 else aj * j ** (-n)
+        out[j**m - 1] = aj
         j += 1
     return DirichletSeries(out)
 

@@ -1,14 +1,24 @@
 /* Compiled counting kernel for the matrix-point oracle.
 
-   Same contract as clzeta/oracle/_kernels_py.py, the reference mirror: scan
-   the A-odometer indices in [start, stop), filter A by the A-only relations,
-   stack the affine system the B-linear relations impose on B, and histogram
-   its nullity, by Gauss-Jordan elimination mod p over flat C arrays.  p is
-   refused outside [2, 2^31), so a residue plus the product of two residues
-   fits in a long long; each such sum is reduced mod p before the next. */
+   Same contract as clzeta/oracle/_kernels_py.py, the mod-p reference mirror:
+   scan the A-odometer indices in [start, stop), filter A by the A-only
+   relations, stack the affine system the B-linear relations impose on B, and
+   histogram its nullity.  Only the rank matters, so elimination runs forward
+   only, on the rows below each pivot.
+
+   At p = 2 each stacked row is one uint64_t: bit k*n + l is the coefficient
+   of B[k, l] and bit n*n the right-hand side, and rows are eliminated by XOR
+   (after M4RI, Albrecht, Bard and Hart, ACM TOMS 36(3), 2010).  So p = 2 is
+   refused for n*n + 1 > 64; every such n has 2^(n*n) >= 2^63 A matrices,
+   which clzeta.oracle.matrix_points refuses before either kernel runs.
+
+   Every other p runs over flat long long arrays mod p.  p is refused outside
+   [2, 2^31), so a residue plus the product of two residues fits in a long
+   long; each such sum is reduced mod p before the next. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stdint.h>
 #include <string.h>
 
 typedef long long ll;
@@ -29,7 +39,9 @@ typedef struct {
                              linear (coeff, pre, post), constant (coeff, exp) */
     ll *a;                /* odometer digits = entries of A, row-major */
     ll *pows;             /* pows + e * nn holds A^e */
-    ll *rows;             /* stacked augmented rows, nn + 1 columns each */
+    ll *rows;             /* p != 2: stacked augmented rows, nn + 1 columns each */
+    uint64_t *bits;       /* p == 2: stacked rows, one word each */
+    uint64_t *cols;       /* p == 2: cols[e * n + j] has bit l set when (A^e)[l, j] = 1 */
     ll *counts;           /* counts[d]: admitted A of nullity d */
     ll rejected, inconsistent;
 } Scan;
@@ -94,15 +106,15 @@ fail:
     return -1;
 }
 
-/* A zeroed array of a * b * c long longs, or NULL with MemoryError set when
-   the size overflows or the allocation fails. */
-static ll *zeros(Py_ssize_t a, Py_ssize_t b, Py_ssize_t c)
+/* A zeroed array of a * b * c 8-byte words (ll or uint64_t), or NULL with
+   MemoryError set when the size overflows or the allocation fails. */
+static void *zeros(Py_ssize_t a, Py_ssize_t b, Py_ssize_t c)
 {
-    const Py_ssize_t lim = PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(ll);
-    ll *out = NULL;
+    const Py_ssize_t lim = PY_SSIZE_T_MAX / 8;
+    void *out = NULL;
     if ((b == 0 || a <= lim / b) && (c == 0 || a * b <= lim / c))
-        out = PyMem_Calloc((size_t)(a * b * c), sizeof(ll));
-    return out != NULL ? out : (ll *)PyErr_NoMemory();
+        out = PyMem_Calloc((size_t)(a * b * c), 8);
+    return out != NULL ? out : PyErr_NoMemory();
 }
 
 static ll inverse(ll x, ll p) /* x^(p-2) mod p, the inverse of x for prime p */
@@ -114,12 +126,13 @@ static ll inverse(ll x, ll p) /* x^(p-2) mod p, the inverse of x for prime p */
     return acc;
 }
 
+/* A^1, .., A^max_pow; scan() writes A^0 = I once. */
 static void powers(Scan *S)
 {
     const int n = S->n;
-    for (Py_ssize_t i = 0; i < S->nn; i++)
-        S->pows[i] = i % (n + 1) == 0; /* A^0 = identity */
-    for (int e = 1; e <= S->max_pow; e++) {
+    if (S->max_pow >= 1)
+        memcpy(S->pows + S->nn, S->a, S->nn * sizeof(ll));
+    for (int e = 2; e <= S->max_pow; e++) {
         const ll *prev = S->pows + (e - 1) * S->nn;
         ll *cur = S->pows + e * S->nn;
         for (int i = 0; i < n; i++)
@@ -149,7 +162,8 @@ static int admitted(const Scan *S)
 
 /* Stack one row per B-linear relation and entry (i, j), the equation
    sum coeff * (A^pre B A^post)[i, j] = -sum coeff * (A^exp)[i, j], and
-   eliminate.  Returns the rank, or -1 when the system is inconsistent. */
+   eliminate mod p.  Returns the rank, or -1 when the system is
+   inconsistent. */
 static Py_ssize_t rank_of_system(Scan *S)
 {
     const int n = S->n;
@@ -189,15 +203,66 @@ static Py_ssize_t rank_of_system(Scan *S)
         ll inv = inverse(prow[col], p);
         for (Py_ssize_t t = col; inv != 1 && t < ncols; t++)
             prow[t] = prow[t] * inv % p;
-        for (Py_ssize_t rr = 0; rr < nrows; rr++) {
+        for (Py_ssize_t rr = rank + 1; rr < nrows; rr++) {
             ll *w = rows + rr * ncols, f = p - w[col];
-            for (Py_ssize_t t = col; rr != rank && f != p && t < ncols; t++)
+            for (Py_ssize_t t = col; f != p && t < ncols; t++)
                 w[t] = (w[t] + f * prow[t]) % p;
         }
         rank++;
     }
     for (Py_ssize_t rr = rank; rr < nrows; rr++)
         if (rows[rr * ncols + nn])
+            return -1;
+    return rank;
+}
+
+/* rank_of_system at p = 2, on one word per row.  A term with an odd coeff
+   adds the row cols[post * n + j] << (k * n) for each k with
+   (A^pre)[i, k] = 1, and the right-hand side is the parity of the constant
+   terms.  Elimination XORs the pivot row into the rows below it that have
+   the pivot bit, without a branch on that bit. */
+static Py_ssize_t rank_gf2(Scan *S)
+{
+    const int n = S->n;
+    const Py_ssize_t nn = S->nn, nrows = S->lin.nrel * nn;
+    const ll *pw = S->pows;
+    const Terms *L = &S->lin, *C = &S->con;
+    uint64_t *rows = S->bits, *cols = S->cols;
+    Py_ssize_t rank = 0;
+    for (int e = 1; e <= S->max_pow; e++)
+        for (int j = 0; j < n; j++) {
+            uint64_t m = 0;
+            for (int l = 0; l < n; l++)
+                m |= (uint64_t)pw[e * nn + l * n + j] << l;
+            cols[e * n + j] = m;
+        }
+    for (Py_ssize_t r = 0; r < L->nrel; r++)
+        for (int i = 0; i < n; i++)
+            for (int j = 0; j < n; j++) {
+                uint64_t w = 0;
+                ll rhs = 0;
+                for (const ll *t = L->term + 3 * L->off[r]; t < L->term + 3 * L->off[r + 1]; t += 3)
+                    for (int k = 0; t[0] && k < n; k++)
+                        w ^= cols[t[2] * n + j] << (k * n) & -(uint64_t)pw[t[1] * nn + i * n + k];
+                for (const ll *t = C->term + 2 * C->off[r]; t < C->term + 2 * C->off[r + 1]; t += 2)
+                    rhs ^= t[0] & pw[t[1] * nn + i * n + j];
+                rows[(r * n + i) * n + j] = w | (uint64_t)rhs << nn;
+            }
+    for (Py_ssize_t col = 0; col < nn && rank < nrows; col++) {
+        Py_ssize_t piv = rank;
+        while (piv < nrows && !(rows[piv] >> col & 1))
+            piv++;
+        if (piv == nrows)
+            continue;
+        const uint64_t prow = rows[piv];
+        rows[piv] = rows[rank];
+        rows[rank] = prow;
+        for (Py_ssize_t rr = piv + 1; rr < nrows; rr++)
+            rows[rr] ^= prow & -(rows[rr] >> col & 1);
+        rank++;
+    }
+    for (Py_ssize_t rr = rank; rr < nrows; rr++)
+        if (rows[rr])
             return -1;
     return rank;
 }
@@ -211,12 +276,16 @@ static void scan(Scan *S, ll start, ll stop)
     }
     for (Py_ssize_t d = 0; d < S->nn; d++, idx /= S->p)
         S->a[d] = idx % S->p;
+    for (int i = 0; i < S->n; i++)
+        S->pows[i * (S->n + 1)] = 1; /* A^0 = identity */
+    for (int j = 0; S->p == 2 && j < S->n; j++)
+        S->cols[j] = (uint64_t)1 << j; /* the columns of A^0 */
     for (ll step = start; step < stop; step++) {
         Py_ssize_t rank;
         powers(S);
         if (!admitted(S))
             S->rejected++;
-        else if ((rank = rank_of_system(S)) < 0)
+        else if ((rank = S->p == 2 ? rank_gf2(S) : rank_of_system(S)) < 0)
             S->inconsistent++;
         else
             S->counts[S->nn - rank]++;
@@ -245,6 +314,10 @@ static PyObject *nullity_histogram(PyObject *Py_UNUSED(self), PyObject *args, Py
     if (S.n < 0 || S.max_pow < 0 || start < 0)
         return PyErr_Format(PyExc_ValueError, "n, start and max_pow must be nonnegative");
     S.nn = (Py_ssize_t)S.n * S.n;
+    if (S.p == 2 && S.nn + 1 > 64)
+        return PyErr_Format(PyExc_ValueError,
+                            "the compiled kernel packs a row into 64 bits at p = 2, "
+                            "so it needs n*n + 1 <= 64, got n = %d", S.n);
     stop = stop < start ? start : stop;
     if (parse_terms(a_filters, -1, 1, pyp, S.max_pow, &S.filt) < 0
         || parse_terms(b_relations, 0, 2, pyp, S.max_pow, &S.lin) < 0
@@ -252,7 +325,9 @@ static PyObject *nullity_histogram(PyObject *Py_UNUSED(self), PyObject *args, Py
         || (S.counts = zeros(S.nn + 1, 1, 1)) == NULL
         || (S.a = zeros(S.nn, 1, 1)) == NULL
         || (S.pows = zeros(S.max_pow + 1, S.nn, 1)) == NULL
-        || (S.rows = zeros(S.lin.nrel, S.nn, S.nn + 1)) == NULL)
+        || (S.p == 2 ? (S.bits = zeros(S.lin.nrel, S.nn, 1)) == NULL
+                         || (S.cols = zeros(S.max_pow + 1, S.n, 1)) == NULL
+                     : (S.rows = zeros(S.lin.nrel, S.nn, S.nn + 1)) == NULL))
         goto done;
     scan(&S, start, stop);
     hist = PyList_New(S.nn + 1);
@@ -272,6 +347,8 @@ done:
     PyMem_Free(S.a);
     PyMem_Free(S.pows);
     PyMem_Free(S.rows);
+    PyMem_Free(S.bits);
+    PyMem_Free(S.cols);
     return hist == NULL ? NULL : Py_BuildValue("(NLL)", hist, S.rejected, S.inconsistent);
 }
 

@@ -52,6 +52,11 @@ KERNEL_COMPILED = bool(getattr(_kernels, "COMPILED", False))
 #: kernel would start a scan of q^(n^2) matrices.
 KERNEL_Q_LIMIT = 2**31
 
+#: The linear strategy refuses an A space of q^(n^2) matrices at or above this
+#: bound whichever kernel runs: the compiled kernel indexes the odometer with
+#: signed 64-bit integers and packs a row of n^2 + 1 bits at q = 2.
+KERNEL_SPACE_LIMIT = 2**63
+
 
 def kernel_name() -> str:
     return "cython" if KERNEL_COMPILED else "python"
@@ -76,6 +81,9 @@ class CountResult:
     scanned: int  # size of the enumerated space
     rejected: int  # A matrices failing an A-only relation
     inconsistent: int  # A matrices whose affine system had no solution
+    # histogram[d]: consistent A whose B-solutions have dimension d; None for
+    # the full strategy, which does not solve for B
+    histogram: tuple[int, ...] | None
 
     def to_json_dict(self, op: str, params: dict):
         return {"op": op, "params": params, **asdict(self), "value": str(self.value)}
@@ -135,7 +143,9 @@ def _count_linear(system: RelationSystem, n: int, p: int, shards: int):
         rejected += rej
         inconsistent += inc
     value = sum(c * p**d for d, c in enumerate(total_hist) if c)
-    return CountResult(value, "linear-in-B", p**nn, rejected, inconsistent)
+    return CountResult(
+        value, "linear-in-B", p**nn, rejected, inconsistent, tuple(total_hist)
+    )
 
 
 def _relation_pairs(system: RelationSystem, space, n: int, moduli):
@@ -181,7 +191,7 @@ def _relation_pairs(system: RelationSystem, space, n: int, moduli):
 def _count_full(system: RelationSystem, n: int, p: int):
     space = list(itertools.product(range(p), repeat=n * n))
     count = sum(1 for _ in _relation_pairs(system, space, n, (p,) * n))
-    return CountResult(count, "full", p ** (2 * n * n), 0, 0)
+    return CountResult(count, "full", p ** (2 * n * n), 0, 0, None)
 
 
 def count_matrix_points(
@@ -211,6 +221,10 @@ def count_matrix_points(
     if n < 0:
         raise ValueError("n must be nonnegative")
     nn = n * n
+    if uses_kernel and q**nn >= KERNEL_SPACE_LIMIT:
+        raise ValueError(
+            f"the linear strategy needs q^(n^2) < 2^63, got q = {q}, n = {n}"
+        )
 
     if strategy == "auto":
         strategy = "linear" if system.is_b_linear() else "full"

@@ -167,6 +167,51 @@ class TestOracleCommand:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "2^31" in proc.stderr
 
+    # 2^64 A matrices, past the signed 64-bit odometer; the budget admits them
+    BEYOND_THE_ODOMETER = (
+        "oracle", "--relations", "A*B - B*A", "--q", "2", "--n", "8",
+        "--budget", "100000000000000000000000",
+    )
+
+    def test_a_space_of_2_63_or_more_is_exit_2(self, capsys):
+        code, out, err = run(capsys, *self.BEYOND_THE_ODOMETER)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2^63" in err
+
+    def test_a_space_of_2_63_or_more_is_refused_by_the_python_kernel(self):
+        src = str(Path(clzeta.__file__).resolve().parent.parent)
+        env = dict(os.environ, CLZETA_FORCE_PY="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from clzeta.cli import main; sys.exit(main(sys.argv[1:]))",
+             *self.BEYOND_THE_ODOMETER],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "2^63" in proc.stderr
+
+    def test_payload_carries_the_nullity_histogram(self, capsys):
+        code, out, _ = run(capsys, "oracle", "--relations", "A*B - B*A", "--q", "2", "--n", "2")
+        assert code == 0
+        result = json.loads(out)["result"]
+        # 14 non-scalar A with a 2-dimensional centralizer, 2 scalar A: 88 = 14 * 2^2 + 2 * 2^4
+        assert result["histogram"] == [0, 0, 14, 0, 2]
+        assert result["value"] == "88"
+        code, out, _ = run(capsys, "oracle", "--relations", "B*B", "--q", "2", "--n", "1")
+        assert json.loads(out)["result"]["histogram"] is None
+
+    def test_tsv_output_has_no_histogram(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle", "--relations", "A*B - B*A", "--q", "2", "--n", "2",
+            "--format", "tsv",
+        )
+        assert (code, out) == (0, "2\t88\t1\n")
+
     def test_shards_far_beyond_the_a_space_stay_cheap(self):
         # only min(shards, q^(n^2)) ranges are walked; walking all 10^8 of
         # them took 20 s

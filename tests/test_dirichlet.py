@@ -194,6 +194,15 @@ class TestShift:
         z = dedekind_zeta(ring_Z(), 16)
         assert shift(z, 1, 0) == z
 
+    def test_zero_shift_keeps_the_entries(self):
+        # s -> m*s multiplies by j^0 = 1, so the entries are copied, not rebuilt
+        f = DirichletSeries([Fraction(k, 3) for k in range(1, 17)])
+        for m in (1, 2, 4):
+            g = shift(f, m, 0)
+            for j in range(1, 5):
+                if j**m <= 16:
+                    assert g.coefficients()[j**m - 1] is f.coefficients()[j - 1]
+
 
 class TestDedekindZeta:
     def test_integers(self):

@@ -202,11 +202,12 @@ class TestKernelParity:
 
 
 @st.composite
-def _b_linear_systems(draw):
-    """Relation text of a random system of A-only filters and B-linear
-    relations with constant terms, and n <= 2, p in {2, 3, 5}."""
+def _b_linear_systems(draw, ns=(1, 2), ps=(2, 3, 5), max_exp=2, max_linear=2):
+    """Relation text of a random system of A-only filters and up to
+    ``max_linear`` B-linear relations with constant terms, with every power of
+    A at most ``max_exp``, and n drawn from ``ns``, p from ``ps``."""
     coeff = st.integers(-6, 6)
-    exp = st.integers(0, 2)
+    exp = st.integers(0, max_exp)
 
     def term(c, word):  # word "" is the constant term
         body = f"{abs(c)}*{word}" if word else str(abs(c))
@@ -226,7 +227,7 @@ def _b_linear_systems(draw):
                 st.lists(st.tuples(coeff, exp), max_size=2),
             ),
             min_size=1,
-            max_size=2,
+            max_size=max_linear,
         )
     )
     relations = [[term(c, a_word(e)) for c, e in rel] for rel in filters]
@@ -235,7 +236,7 @@ def _b_linear_systems(draw):
             [term(c, b_word(i, j)) for c, i, j in lin] + [term(c, a_word(e)) for c, e in con]
         )
     text = ", ".join("0" + "".join(rel) for rel in relations)
-    return text, draw(st.integers(1, 2)), draw(st.sampled_from((2, 3, 5)))
+    return text, draw(st.sampled_from(ns)), draw(st.sampled_from(ps))
 
 
 class TestKernelDifferential:
@@ -267,6 +268,101 @@ class TestKernelDifferential:
             assert count_matrix_points(text, n, p, strategy="full").value == linear
 
 
+# every feature of the packed p = 2 rows, one case each: A-only filters, an
+# affine system that is inconsistent for some A, more B-linear relations than
+# one (more rows than columns) and powers of A up to 3
+PACKED_EDGE_SYSTEMS = [
+    "A*B - B*A, A^2 - A",
+    "A*B - 1",
+    "A*B - B*A - A, A^3*B + B*A^2 - 1",
+    "A*B - B*A, A^2*B + B, A^3*B*A^3 - A^2",
+    "A*B*A - B, A^3 + A, B*A^3 + A^2*B - A^3",
+]
+
+
+@pytest.mark.skipif(not KERNEL_COMPILED, reason="compiled kernel not built")
+class TestPackedKernel:
+    """At p = 2 the compiled kernel packs each row into one word and
+    eliminates by XOR; the Python kernel is the mod-p reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        _b_linear_systems(ns=(1, 2, 3, 4), ps=(2,), max_exp=3, max_linear=3),
+        st.data(),
+    )
+    def test_packed_rows_match_the_python_kernel(self, system, data):
+        text, n, p = system
+        total = p ** (n * n)
+        start = data.draw(st.integers(0, total))
+        stop = data.draw(st.integers(start, min(total, start + 2000)))
+        args = _kernel_args(text, n, p, start, stop)
+        assert _kernels.nullity_histogram(*args) == _kernels_py.nullity_histogram(*args)
+
+    @pytest.mark.parametrize("text", PACKED_EDGE_SYSTEMS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_edge_systems_match_the_python_kernel(self, text, n):
+        total = 2 ** (n * n)
+        start = total // 3
+        args = _kernel_args(text, n, 2, start, min(total, start + 600))
+        assert _kernels.nullity_histogram(*args) == _kernels_py.nullity_histogram(*args)
+
+    def test_widest_packed_rows_match_the_python_kernel(self):
+        # n = 7 puts the right-hand side in bit 49; n = 8 would need 65 bits
+        for text in ("A*B - B*A", "A*B - 1, A*B*A - B*A^2"):
+            args = _kernel_args(text, 7, 2, 3**30, 3**30 + 12)
+            assert _kernels.nullity_histogram(*args) == _kernels_py.nullity_histogram(*args)
+
+    def test_rows_wider_than_a_word_are_refused(self):
+        with pytest.raises(ValueError, match="64 bits"):
+            _kernels.nullity_histogram(8, 2, 0, 1, (), ((((1, 0, 0),), ()),), 0)
+
+    def test_commuting_histogram_at_n4_q2_is_pinned(self):
+        # recorded with the mod-p elimination, before rows were packed at p = 2
+        res = count_matrix_points("A*B - B*A", 4, 2)
+        assert res.histogram == (0, 0, 0, 0, 50832, 0, 13160, 0, 1092, 0, 450, 0, 0, 0, 0, 0, 2)
+        assert res.value == sum(c * 2**d for d, c in enumerate(res.histogram))
+        assert (res.scanned, res.rejected, res.inconsistent) == (65536, 0, 0)
+
+
+def test_full_strategy_has_no_histogram():
+    res = count_matrix_points("A*B - B*A", 1, 2, strategy="full")
+    assert res.histogram is None
+    assert res.to_json_dict("op", {})["histogram"] is None
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
+@pytest.mark.parametrize("n, q", [(8, 2), (7, 3), (5, 2147483647)])
+def test_a_space_of_2_63_or_more_is_refused_before_the_kernel(kernel, n, q):
+    # without the refusal the compiled kernel raised OverflowError on the
+    # odometer bound and the Python kernel started a scan of q^(n^2) matrices
+    if kernel == "compiled" and not KERNEL_COMPILED:
+        pytest.skip("compiled kernel not built")
+    env = dict(os.environ)
+    env.pop("CLZETA_FORCE_PY", None)
+    if kernel == "python":
+        env["CLZETA_FORCE_PY"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    code = (
+        "import sys\n"
+        "from clzeta.oracle import count_matrix_points\n"
+        "try:\n"
+        f"    count_matrix_points('A*B - B*A', {n}, {q}, budget=10**40)\n"
+        "except ValueError as exc:\n"
+        "    sys.exit(str(exc))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 1
+    assert "q^(n^2) < 2^63" in proc.stderr
+
+
+@pytest.mark.parametrize("n, q", [(7, 2), (6, 3)])
+def test_a_space_below_2_63_reaches_the_budget_check(n, q):
+    with pytest.raises(BudgetExceededError):
+        count_matrix_points("A*B - B*A", n, q, budget=100)
+
+
 def _c_toolchain() -> bool:
     cc = (sysconfig.get_config_var("CC") or "").split()
     header = Path(sysconfig.get_paths()["include"]) / "Python.h"
@@ -277,10 +373,12 @@ def _c_toolchain() -> bool:
 def test_setup_builds_the_compiled_kernel(tmp_path):
     # the extension is optional, so a C file that does not compile would
     # otherwise pass unnoticed: the build succeeds and the kernel is skipped
+    # and a warning fails the compile, so it fails this test too
     proc = subprocess.run(
         [sys.executable, "setup.py", "-q", "build_ext",
          "--build-lib", str(tmp_path / "lib"), "--build-temp", str(tmp_path / "tmp")],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, CFLAGS="-Wall -Wextra -Werror"),
     )
     assert proc.returncode == 0, proc.stderr
     built = list((tmp_path / "lib" / "clzeta" / "oracle").glob("_kernels.*"))
