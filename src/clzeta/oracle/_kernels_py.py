@@ -5,9 +5,9 @@
 ``clzeta.oracle.matrix_points``).  The kernel walks a contiguous odometer
 range of the A-matrix space, filters A by the A-only relations, assembles the
 stacked affine system the B-linear relations impose on B, and histograms the
-nullity of that system.  It eliminates mod p for every p, so it is the
-reference the compiled kernel's packed XOR elimination at p = 2 is tested
-against.
+nullity of that system.  It solves every A and eliminates mod p for every
+p, so it is the reference the compiled kernel's orbit weighting and its
+packed XOR elimination at p = 2 are tested against.
 
 Its helpers ``_mat_mul``, ``_powers`` and ``_row_reduce`` serve the module
 oracle too.  A matrix is a flat row-major list of n*n integers whose row i is

@@ -253,31 +253,60 @@ def module_groupoid_count(p: int, k: int, budget: int | None = None) -> Fraction
 
 
 def conj_classes_aut(module: PGroupModule, budget: int | None = None) -> int:
-    """Number of conjugacy classes of Aut(N), by explicit orbit partition of
-    the conjugation action."""
+    """Number of conjugacy classes of Aut(N), by walking the orbits of the
+    conjugation action on the ``endo_table`` permutations.
+
+    A set closed under conjugation by each member of a generating set is
+    closed under the whole group, so an orbit is walked under
+    ``_generating_set`` alone, 2 compositions per member and generator.
+    """
     auts = automorphisms(module, budget=budget)
     _budget.check("conj_classes_aut", len(auts), budget, _budget.DEFAULT_CONJ_BUDGET)
 
     perms = [module.endo_table(a) for a in auts]
-    perm_set = set(perms)
-    assert len(perm_set) == len(perms)
+    assert len(set(perms)) == len(perms)
+    conjugators = []
+    for g in _generating_set(perms, tuple(range(module.size))):
+        inverse = [0] * len(g)
+        for i, v in enumerate(g):
+            inverse[v] = i
+        conjugators.append((g, tuple(inverse)))
 
-    def p_inverse(f):
-        out = [0] * len(f)
-        for i, v in enumerate(f):
-            out[v] = i
-        return tuple(out)
-
-    inverses = {g: p_inverse(g) for g in perms}
     seen: set[tuple[int, ...]] = set()
     classes = 0
     for x in perms:
         if x in seen:
             continue
         classes += 1
-        orbit = {_compose(_compose(g, x), inverses[g]) for g in perms}
-        seen |= orbit
+        seen.add(x)
+        orbit = [x]
+        for y in orbit:
+            for g, g_inv in conjugators:
+                z = _compose(_compose(g, y), g_inv)
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
     return classes
+
+
+def _generating_set(perms, identity):
+    """A generating set of the group of permutations ``perms``, chosen
+    greedily: a member joins only when it lies outside the group generated
+    by those chosen before it."""
+    gens = []
+    closure = {identity}
+    for g in perms:
+        if g in closure:
+            continue
+        gens.append(g)
+        queue = list(closure)
+        for x in queue:
+            for h in gens:
+                y = _compose(x, h)
+                if y not in closure:
+                    closure.add(y)
+                    queue.append(y)
+    return gens
 
 
 def _join(add, maps, mask, elems, x):

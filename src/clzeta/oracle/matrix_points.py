@@ -6,7 +6,11 @@ satisfying every relation.  Two strategies exist:
 * linear-in-B: enumerate A only; relations that omit B filter A, relations
   affine-linear in B stack into one linear system whose solution count is
   p^nullity.  This is the hot loop; it runs in the compiled C kernel
-  when available and in a pure-Python mirror otherwise.
+  when available and in a pure-Python mirror otherwise.  Both the filter
+  verdict and the nullity are constant on each GL_n(F_q) conjugation orbit
+  of A, so the compiled kernel solves one representative per orbit and
+  weights it by the orbit's size (see ``_kernels.c``); the Python mirror
+  solves every A.
 * full: enumerate both A and B and evaluate every relation literally.  Only
   feasible at tiny sizes; it exists to cross-check the linear strategy and
   to handle relations that are not linear in B.
@@ -14,7 +18,10 @@ satisfying every relation.  Two strategies exist:
 The A space is an odometer over residue digits (entry (0,0) least
 significant, row-major).  Sharding splits the odometer range into contiguous
 pieces whose histograms are added, so the result is independent of the shard
-count.
+count.  The compiled kernel counts only the orbit members inside a shard's
+range, but it walks every orbit that touches the range, so shards repeat
+some walking.  Orbits are walked in a bitmap of q^(n^2) bits while
+q^(n^2) <= 2^32; larger spaces are scanned A by A.
 """
 
 from __future__ import annotations

@@ -163,6 +163,17 @@ class TestConjClasses:
         # Aut(Z/4 + Z/2) is dihedral of order 8, hence 5 classes
         assert conj_classes_aut(PGroupModule(2, Partition((2, 1)))) == 5
 
+    @pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (3, 2)])
+    def test_gl_class_numbers(self, n, p):
+        # GL_n(F_p) has as many conjugacy classes as the x^n coefficient of
+        # prod_{i >= 1} (1 - x^i) / (1 - p x^i) (Feit and Fine, 1960)
+        coeffs = [1] + [0] * n
+        for i in range(1, n + 1):
+            coeffs = [c - (coeffs[k - i] if k >= i else 0) for k, c in enumerate(coeffs)]
+            for k in range(i, n + 1):  # divide by 1 - p x^i
+                coeffs[k] += p * coeffs[k - i]
+        assert conj_classes_aut(PGroupModule(p, (1,) * n)) == coeffs[n]
+
 
 class TestSurjProb:
     def test_single_generator(self):

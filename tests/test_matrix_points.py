@@ -21,6 +21,7 @@ from clzeta.oracle import (
     parse_relations,
 )
 from clzeta.oracle.matrix_points import KERNEL_COMPILED, _compile_for_kernel
+from clzeta.partitions import partitions
 
 if KERNEL_COMPILED:
     from clzeta.oracle import _kernels  # type: ignore[attr-defined]
@@ -164,6 +165,10 @@ class TestKernelParity:
             ("A*B - B*A, A^2*B", 2, 2),
             ("A*B - 1", 1, 5),
             ("A*B - B*A", 3, 2),
+            # every conjugation orbit of the 3^9 A at n = 3, q = 3
+            ("A*B - B*A, A^2*B", 3, 3),
+            ("A*B - B*A, A^3", 3, 3),
+            ("A^2*B - B*A - 1", 3, 3),  # consistent for some A only
         ]
         for text, n, p in cases:
             args = _kernel_args(text, n, p)
@@ -171,6 +176,20 @@ class TestKernelParity:
             got_py = _kernels_py.nullity_histogram(*args)
             assert tuple(got_c[0]) == tuple(got_py[0])
             assert got_c[1:] == got_py[1:]
+
+    @pytest.mark.parametrize("n, q", [(n, q) for n in range(4) for q in (2, 3, 5)] + [(4, 2)])
+    def test_orbit_walk_finds_the_similarity_classes(self, n, q):
+        # M_n(F_q) has sum_{lam |- n} q^len(lam) similarity classes, the
+        # coefficients of prod_{i >= 1} 1 / (1 - q x^i); a generator set that
+        # misses part of GL_n(F_q) splits some of them
+        classes = sum(q**lam.length for lam in partitions(n))
+        assert _kernels._orbit_count(n, q) == classes
+        assert (n, q) != (4, 2) or classes == 34
+
+    @pytest.mark.parametrize("n, p", [(6, 2), (3, 12), (2, 2**31)])
+    def test_orbit_count_refuses_spaces_above_2_32(self, n, p):
+        with pytest.raises(ValueError, match="2\\^32"):
+            _kernels._orbit_count(n, p)
 
     def test_partial_ranges_match(self):
         args = _kernel_args("A*B - B*A", 2, 3, 17, 61)
