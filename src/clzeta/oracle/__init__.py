@@ -9,8 +9,14 @@ from .endomorphisms import (
     enumerate_endomorphisms,
     module_groupoid_count,
     surj_prob,
+    surj_probs,
 )
-from .framing import FramingStats, relation_points, stable_framing_stats
+from .framing import (
+    FramingStats,
+    relation_points,
+    stable_framing_stats,
+    stable_framing_stats_per_rank,
+)
 from .matrix_points import (
     KERNEL_COMPILED,
     CountResult,
@@ -43,5 +49,7 @@ __all__ = [
     "parse_relations",
     "relation_points",
     "stable_framing_stats",
+    "stable_framing_stats_per_rank",
     "surj_prob",
+    "surj_probs",
 ]

@@ -14,7 +14,9 @@ DEFAULT_MATRIX_BUDGET = 2**26  # A-space size q^(n^2) for linear-in-B counting
 DEFAULT_FULL_BUDGET = 2**20  # (A, B)-space size q^(2 n^2) for full enumeration
 DEFAULT_ENDO_BUDGET = 2**24  # endomorphism count p^(sum min(lam_i, lam_j))
 DEFAULT_CONJ_BUDGET = 2**20  # |Aut| for conjugacy-class counting
-DEFAULT_SURJ_BUDGET = 2**24  # |N|^d for the enumerated surjection probability
+# |N|^d for the enumerated surjection probability; also |N|^2 for a module's
+# addition table and |Aut| * |N| for the code tables of conj_classes_aut
+DEFAULT_SURJ_BUDGET = 2**24
 
 
 class BudgetExceededError(RuntimeError):

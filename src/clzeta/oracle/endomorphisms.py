@@ -15,19 +15,27 @@ tested against.
 Automorphisms are counted through N/pN: by Nakayama's lemma f is invertible
 iff its reduction mod p is.  The lifts of each column f(e_j) are grouped by
 their residue vector mod p, and a depth-first walk over residue columns
-extends a prefix only by a column outside its F_p-span.  Each leaf is a box
-of lifts, one fiber per column, so |Aut| is the sum of the products of fiber
-sizes and ``automorphisms`` expands the same boxes.
+extends a prefix only by a column outside its F_p-span.  A residue vector is
+an integer code in base 2p - 1, so two codes add digit by digit without a
+carry and one table of (2p - 1)^l entries reduces the sum mod p; a span is
+an int bitmask over these codes plus the list of its codes, grown by the
+cosets of each new residue.  Each leaf is a box of lifts, one fiber per
+column, so |Aut| is the sum of the products of fiber sizes and
+``automorphisms`` expands the same boxes.
 
 Generating tuples are counted by Moebius inversion over the lattice of
 submodules invariant under a set of endomorphisms (P. Hall, 1936): the
 number of d-tuples generating N is the sum over members H of
-mu(H, N) * |H|^d.  With no endomorphisms the lattice is every subgroup and
-the count gives the surjection probability; with a commuting pair (A, B) it
-gives the stable framings of ``framing``.  The walk runs on element codes:
-element x is its index 0..|N|-1 in ``elements()`` order, addition is one
-table per module, an endomorphism is a code -> code table, and a subgroup
-is an int bitmask with bit x set for each member x.
+mu(H, N) * |H|^d.  This depends on d only through |H|, so one walk gives the
+Moebius size profile {|H|: sum of mu(H, N)} and every d is a sum over it
+(``surj_probs`` and ``framing.stable_framing_stats_per_rank`` walk once for
+all d).  With no endomorphisms the lattice is every subgroup and the count
+gives the surjection probability; with a commuting pair (A, B) it gives the
+stable framings of ``framing``.  The walk runs on element codes: element x
+is its index 0..|N|-1 in ``elements()`` order, addition is one table per
+module, an endomorphism is a code -> code table built linearly from the
+images of the generators, and a subgroup is an int bitmask with bit x set
+for each member x.
 """
 
 from __future__ import annotations
@@ -134,8 +142,20 @@ class PGroupModule:
         )
 
     def endo_table(self, endo) -> tuple[int, ...]:
-        """The map on element codes: entry x is the code of endo(x)."""
-        return tuple(self.code(self.apply(endo, x)) for x in self.elements())
+        """The map on element codes: entry x is the code of endo(x).
+
+        Built one image coordinate at a time, most significant first:
+        coordinate i of endo(x) over all x, in ``elements()`` order, grows
+        one generator j at a time by the multiples of entry (i, j), and is
+        appended to the codes as one more mixed-radix digit."""
+        l = len(self.moduli)
+        codes = [0]
+        for i, m in enumerate(self.moduli):
+            for j, mj in enumerate(self.moduli):
+                steps = [endo[i * l + j] * a % m for a in range(mj)]
+                vals = steps if j == 0 else [(v + s) % m for v in vals for s in steps]
+            codes = vals if i == 0 else [c * m + v for c, v in zip(codes, vals)]
+        return tuple(codes)
 
     def endo_invertible(self, endo) -> bool:
         """Invertibility via the induced map on N/pN (surjective iff
@@ -169,7 +189,7 @@ def enumerate_endomorphisms(
     if mode == "all":
         return math.prod(len(c) for c in module.entry_choices())
     if mode == "invertible":
-        return sum(math.prod(map(len, box)) for box in _aut_boxes(module))
+        return _box_count(_aut_boxes(module))
     if mode == "torsion":
         if b is None or b < 1:
             raise ValueError("torsion mode needs b >= 1")
@@ -190,38 +210,53 @@ def _aut_boxes(module: PGroupModule):
     By Nakayama's lemma f is invertible iff f mod p is, i.e. iff the residue
     columns are linearly independent over F_p.  The lifts of column j, the
     products of the filtered entry choices (i, j), are grouped by residue.
+    A residue vector is coded in base b = 2p - 1, whose digits hold the
+    digitwise sum of two residues without a carry, so the code of r + s is
+    ``mod_p[r + s]`` for one table of b^l entries.
     """
     p = module.p
     l = len(module.moduli)
     if l == 0:
         yield []
         return
+    b = 2 * p - 1
+    mod_p = [0]
+    for _ in range(l):
+        mod_p = [w * b + a % p for w in mod_p for a in range(b)]
     choices = module.entry_choices()
     fibers = []
     for j in range(l):
-        by_residue: dict[tuple[int, ...], list] = {}
+        by_residue: dict[int, list] = {}
         for col in itertools.product(*choices[j::l]):
-            by_residue.setdefault(tuple(v % p for v in col), []).append(col)
+            r = 0
+            for v in col:
+                r = r * b + v % p
+            by_residue.setdefault(r, []).append(col)
         fibers.append(list(by_residue.items()))
-    yield from _residue_walk(fibers, p, {(0,) * l}, [])
+    yield from _residue_walk(fibers, p, mod_p, 1, [0], [])
 
 
-def _residue_walk(fibers, p, span, box):
+def _residue_walk(fibers, p, mod_p, mask, span, box):
     """Extend ``box``, the lift lists of columns 0..j-1 whose residues span
-    ``span``, depth first: column j takes each residue outside the span in
-    turn, and the last column keeps the lifts of all residues outside it."""
+    the codes ``span`` (bit r of ``mask`` set for each member r), depth
+    first: column j takes each residue outside the span in turn, and the
+    last column keeps the lifts of all residues outside it."""
     j = len(box)
     if j == len(fibers) - 1:
-        last = [col for r, lifts in fibers[j] if r not in span for col in lifts]
+        last = [col for r, lifts in fibers[j] if not mask >> r & 1 for col in lifts]
         if last:
             yield box + [last]
         return
     for r, lifts in fibers[j]:
-        if r not in span:
-            grown = {
-                tuple((a + c * b) % p for a, b in zip(s, r)) for s in span for c in range(p)
-            }
-            yield from _residue_walk(fibers, p, grown, box + [lifts])
+        if mask >> r & 1:
+            continue
+        grown = list(span)
+        c = r
+        for _ in range(p - 1):  # the cosets span + c for c = r, 2r, ...
+            grown += [mod_p[s + c] for s in span]
+            c = mod_p[c + r]
+        grown_mask = mask | sum(1 << s for s in grown[len(span) :])
+        yield from _residue_walk(fibers, p, mod_p, grown_mask, grown, box + [lifts])
 
 
 def automorphisms(module: PGroupModule, budget: int | None = None):
@@ -229,9 +264,19 @@ def automorphisms(module: PGroupModule, budget: int | None = None):
     ``endomorphisms()``)."""
     needed = module.endo_count_bound()
     _budget.check("automorphisms", needed, budget, _budget.DEFAULT_ENDO_BUDGET)
+    return _expand(_aut_boxes(module))
+
+
+def _box_count(boxes) -> int:
+    """The number of maps in ``_aut_boxes``, listing none of them."""
+    return sum(math.prod(map(len, box)) for box in boxes)
+
+
+def _expand(boxes):
+    """The maps of ``_aut_boxes``, as a sorted list of flat tuples."""
     return sorted(
         tuple(itertools.chain.from_iterable(zip(*cols)))
-        for box in _aut_boxes(module)
+        for box in boxes
         for cols in itertools.product(*box)
     )
 
@@ -259,11 +304,24 @@ def conj_classes_aut(module: PGroupModule, budget: int | None = None) -> int:
     A set closed under conjugation by each member of a generating set is
     closed under the whole group, so an orbit is walked under
     ``_generating_set`` alone, 2 compositions per member and generator.
-    """
-    auts = automorphisms(module, budget=budget)
-    _budget.check("conj_classes_aut", len(auts), budget, _budget.DEFAULT_CONJ_BUDGET)
 
-    perms = [module.endo_table(a) for a in auts]
+    |Aut| is counted from the boxes before any map is listed, and refused
+    when it, or the |Aut| * |N| entries of the tables, exceed the budget.
+    """
+    needed = module.endo_count_bound()
+    _budget.check("automorphisms", needed, budget, _budget.DEFAULT_ENDO_BUDGET)
+    boxes = list(_aut_boxes(module))
+    order = _box_count(boxes)
+    _budget.check("conj_classes_aut", order, budget, _budget.DEFAULT_CONJ_BUDGET)
+    tables = order * module.size
+    _budget.check("conj_classes_aut tables", tables, budget, _budget.DEFAULT_SURJ_BUDGET)
+
+    # one int object per code, shared by every table and composition, so
+    # that each of the |Aut| * |N| entries costs one pointer
+    codes = list(range(module.size))
+    perms = [
+        tuple(map(codes.__getitem__, module.endo_table(a))) for a in _expand(boxes)
+    ]
     assert len(set(perms)) == len(perms)
     conjugators = []
     for g in _generating_set(perms, tuple(range(module.size))):
@@ -372,12 +430,12 @@ def _invariant_lattice(module: PGroupModule, endos, budget: int | None = None):
     return sorted(members, key=int.bit_count)
 
 
-def generating_tuple_count(
-    module: PGroupModule, endos, d: int, budget: int | None = None
-) -> int:
-    """Number of d-tuples of elements whose closure under addition and
-    ``endos`` is all of N: the sum over invariant submodules H of
-    mu(H, N) * |H|^d, since |H|^d counts the tuples lying in H."""
+def _size_profile(
+    module: PGroupModule, endos, budget: int | None = None
+) -> dict[int, int]:
+    """The Moebius size profile of the invariant submodules: for each size
+    s, the sum of mu(H, N) over the members H with |H| = s.  Members of
+    mu zero are left out."""
     lattice = _invariant_lattice(module, endos, budget)
     mu = [0] * len(lattice)
     mu[-1] = 1  # mu(N, N)
@@ -387,7 +445,23 @@ def generating_tuple_count(
         mu[i] = -sum(
             m for k, m in zip(lattice[i + 1 :], mu[i + 1 :]) if m and h & k == h
         )
-    return sum(m * h.bit_count() ** d for h, m in zip(lattice, mu))
+    profile: dict[int, int] = {}
+    for h, m in zip(lattice, mu):
+        if m:
+            size = h.bit_count()
+            profile[size] = profile.get(size, 0) + m
+    return profile
+
+
+def generating_tuple_count(
+    module: PGroupModule, endos, d: int, budget: int | None = None
+) -> int:
+    """Number of d-tuples of elements whose closure under addition and
+    ``endos`` is all of N: the sum over invariant submodules H of
+    mu(H, N) * |H|^d, since |H|^d counts the tuples lying in H.  It depends
+    on d only through |H|, so it is summed over ``_size_profile``."""
+    profile = _size_profile(module, endos, budget)
+    return sum(m * size**d for size, m in profile.items())
 
 
 @dataclass(frozen=True)
@@ -395,6 +469,38 @@ class SurjProbResult:
     enumerated: Fraction | None  # None when the enumeration exceeded budget
     closed_form: Fraction
     sample_space: int
+
+
+def surj_probs(
+    module: PGroupModule, ds, budget: int | None = None
+) -> list[SurjProbResult]:
+    """``surj_prob`` for each d in ``ds``, with one lattice walk for all of
+    them: the subgroup lattice and its size profile do not depend on d."""
+    ds = list(ds)
+    if any(d < 0 for d in ds):
+        raise ValueError("d must be nonnegative")
+    p = module.p
+    r = module.type.length
+    limit = _budget.resolve(budget, _budget.DEFAULT_SURJ_BUDGET)
+    spaces = [module.size**d for d in ds]
+    profile = None
+    if any(space <= limit for space in spaces):
+        try:
+            profile = _size_profile(module, (), limit)
+        except _budget.BudgetExceededError:
+            pass  # the lattice outgrew the budget: no d is enumerated
+    results = []
+    for d, space in zip(ds, spaces):
+        if d < r:
+            closed = Fraction(0)
+        else:
+            closed = qpoch_value(Fraction(1, p ** (d - r + 1)), Fraction(1, p), r)
+        enumerated = None
+        if space <= limit and profile is not None:
+            generating = sum(m * size**d for size, m in profile.items())
+            enumerated = Fraction(generating, space)
+        results.append(SurjProbResult(enumerated, closed, space))
+    return results
 
 
 def surj_prob(module: PGroupModule, d: int, budget: int | None = None) -> SurjProbResult:
@@ -406,22 +512,4 @@ def surj_prob(module: PGroupModule, d: int, budget: int | None = None) -> SurjPr
     divided by |N|^d; it is skipped (None) when |N|^d exceeds the budget or
     the lattice outgrows it.
     """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    p = module.p
-    r = module.type.length
-    if d < r:
-        closed = Fraction(0)
-    else:
-        closed = qpoch_value(Fraction(1, p ** (d - r + 1)), Fraction(1, p), r)
-
-    space = module.size**d
-    limit = _budget.resolve(budget, _budget.DEFAULT_SURJ_BUDGET)
-    if space > limit:
-        return SurjProbResult(None, closed, space)
-
-    try:
-        generating = generating_tuple_count(module, (), d, budget=limit)
-    except _budget.BudgetExceededError:
-        return SurjProbResult(None, closed, space)
-    return SurjProbResult(Fraction(generating, space), closed, space)
+    return surj_probs(module, (d,), budget)[0]

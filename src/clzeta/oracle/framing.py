@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import budget as _budget
-from .endomorphisms import PGroupModule, automorphisms, generating_tuple_count
+from .endomorphisms import PGroupModule, _size_profile, automorphisms
 from .matrix_points import _relation_pairs
 from .relations import RelationSystem, parse_relations
 
@@ -88,6 +88,47 @@ def _stable_tuple_count_direct(module: PGroupModule, endos, d: int) -> int:
     return walk(_closure(module, (), endos), 0)
 
 
+def stable_framing_stats_per_rank(
+    system: RelationSystem | str,
+    module: PGroupModule,
+    ds,
+    *,
+    budget: int | None = None,
+) -> list[FramingStats]:
+    """``stable_framing_stats`` for each rank d in ``ds``.  The relation
+    points, |Aut| and each point's invariant lattice are found once: the
+    stable count of a point is the sum of m * s^d over the Moebius size
+    profile of its lattice, and the profiles of all points add up."""
+    if isinstance(system, str):
+        system = parse_relations(system)
+    ds = list(ds)
+    if any(d < 0 for d in ds):
+        raise ValueError("d must be nonnegative")
+    points = relation_points(system, module, budget=budget)
+    aut_order = len(automorphisms(module, budget=budget))
+    profile: dict[int, int] = {}
+    for A, B in points:
+        for size, m in _size_profile(module, (A, B), budget).items():
+            profile[size] = profile.get(size, 0) + m
+    results = []
+    for d in ds:
+        stable = sum(m * size**d for size, m in profile.items())
+        if stable % aut_order:
+            raise AssertionError(
+                "free-action invariant violated: |Aut| does not divide the stable count"
+            )
+        results.append(
+            FramingStats(
+                total=len(points) * module.size**d,
+                stable=stable,
+                aut_order=aut_order,
+                quot_count=stable // aut_order,
+                points=len(points),
+            )
+        )
+    return results
+
+
 def stable_framing_stats(
     system: RelationSystem | str,
     module: PGroupModule,
@@ -97,23 +138,4 @@ def stable_framing_stats(
 ) -> FramingStats:
     """Count framed relation points and the stable ones among them, the
     latter per point by Moebius inversion over its invariant submodules."""
-    if isinstance(system, str):
-        system = parse_relations(system)
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    points = relation_points(system, module, budget=budget)
-    auts = automorphisms(module, budget=budget)
-    size_d = module.size**d
-    stable = sum(generating_tuple_count(module, (A, B), d, budget) for A, B in points)
-    aut_order = len(auts)
-    if stable % aut_order:
-        raise AssertionError(
-            "free-action invariant violated: |Aut| does not divide the stable count"
-        )
-    return FramingStats(
-        total=len(points) * size_d,
-        stable=stable,
-        aut_order=aut_order,
-        quot_count=stable // aut_order,
-        points=len(points),
-    )
+    return stable_framing_stats_per_rank(system, module, (d,), budget=budget)[0]

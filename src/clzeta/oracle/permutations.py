@@ -7,7 +7,7 @@ import math
 
 
 def _compose(f, g):
-    return tuple(f[g[i]] for i in range(len(g)))
+    return tuple(map(f.__getitem__, g))
 
 
 def commuting_perm_count(n: int, r: int) -> int:

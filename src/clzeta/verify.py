@@ -26,8 +26,8 @@ from .oracle import (
     matrix_point_series,
     module_groupoid_count,
     parse_relations,
-    stable_framing_stats,
-    surj_prob,
+    stable_framing_stats_per_rank,
+    surj_probs,
 )
 from .partitions import (
     Partition,
@@ -323,8 +323,7 @@ def suite_surjection(p_values=(2, 3), max_size=4, d_max=4, budget=None) -> list[
     for p in p_values:
         for lam in partitions_up_to(max_size):
             module = PGroupModule(p, lam)
-            for d in range(d_max + 1):
-                res = surj_prob(module, d, budget=budget)
+            for d, res in enumerate(surj_probs(module, range(d_max + 1), budget=budget)):
                 if res.enumerated is not None:
                     checks.append(
                         _eq(
@@ -353,11 +352,12 @@ def suite_framing(d_max=8, budget=None) -> list[Check]:
     module = PGroupModule(2, Partition((1, 1)))
     system = parse_relations("A*B - B*A")
     size = module.size
-    stats1 = stable_framing_stats(system, module, 0, budget=budget)
-    coh = Fraction(stats1.points, stats1.aut_order)
+    per_rank = stable_framing_stats_per_rank(
+        system, module, range(d_max + 1), budget=budget
+    )
+    coh = Fraction(per_rank[0].points, per_rank[0].aut_order)
     last_gap = None
-    for d in range(1, d_max + 1):
-        stats = stable_framing_stats(system, module, d, budget=budget)
+    for d, stats in enumerate(per_rank[1:], start=1):
         checks.append(
             Check(
                 f"freeness divisibility d={d}",

@@ -418,6 +418,24 @@ class TestConjCommand:
         assert code == 0
         assert json.loads(out)["result"]["classes"] == 8
 
+    def test_oversized_tables_are_refused_at_once(self):
+        # |Aut| = 65536 passes the conjugacy budget, but its 65536 tables of
+        # 65537 entries each ran for more than 20 s on the way to memory
+        # exhaustion before |Aut| * |N| was checked
+        src = str(Path(clzeta.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "CLZETA_BUDGET"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from clzeta.cli import main; sys.exit(main(sys.argv[1:]))",
+             "conj", "--p", "65537", "--type", "1"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "4295032832" in proc.stderr
+
 
 class TestParserReuse:
     """``main`` parses with one parser per process: calls must not see each

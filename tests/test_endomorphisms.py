@@ -1,6 +1,7 @@
 """Endomorphism oracle: counts, automorphisms, torsion, surjectivity,
 conjugacy classes, module groupoid counts."""
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -17,6 +18,7 @@ from clzeta.oracle import (
     module_groupoid_count,
     relation_points,
     surj_prob,
+    surj_probs,
 )
 from clzeta.oracle._kernels_py import _mat_mul
 from clzeta.oracle.endomorphisms import _invariant_lattice, generating_tuple_count
@@ -61,6 +63,15 @@ class TestModuleBasics:
                             assert m.apply(f, m.add(x, y)) == m.add(
                                 m.apply(f, x), m.apply(f, y)
                             )
+
+    @pytest.mark.parametrize(
+        ("p", "lam"),
+        [(2, (2, 1)), (3, (2, 1)), (2, (3, 1)), (5, (1, 1)), (2, (2, 2, 1)), (3, (1,)), (2, ())],
+    )
+    def test_endo_table_is_apply_then_code(self, p, lam):
+        m = PGroupModule(p, Partition(lam))
+        for e in m.endomorphisms():
+            assert m.endo_table(e) == tuple(m.code(m.apply(e, x)) for x in m.elements())
 
 
 class TestCounts:
@@ -132,6 +143,21 @@ class TestCounts:
             assert by_rank == by_image, m
             assert len(set(auts)) == len(auts), m
             assert auts == by_rank, m
+        # (Z/5)^3 has 5^9 maps, too many to test one at a time: its count
+        # against |GL_3(F_5)|
+        m = PGroupModule(5, Partition((1, 1, 1)))
+        assert enumerate_endomorphisms(m, "invertible") == 124 * 120 * 100
+
+    def test_automorphism_lists_are_pinned(self):
+        # sha256 over (p, type, automorphisms(m)) of every gate module, as
+        # listed by the tuple-coded residue walk that preceded the
+        # integer-coded one
+        digest = hashlib.sha256()
+        for m in self._dfs_gate_modules():
+            digest.update(repr((m.p, m.type.parts, automorphisms(m))).encode())
+        assert digest.hexdigest() == (
+            "7bdcb092c4cbc407fd0ee8202460b498995399853a42c7931bec37b0749874c9"
+        )
 
     def test_torsion_needs_b(self):
         with pytest.raises(ValueError):
@@ -162,6 +188,13 @@ class TestConjClasses:
     def test_mixed_type(self):
         # Aut(Z/4 + Z/2) is dihedral of order 8, hence 5 classes
         assert conj_classes_aut(PGroupModule(2, Partition((2, 1)))) == 5
+
+    def test_table_budget(self):
+        # Aut(Z/9) has 6 maps, whose tables hold 6 * 9 = 54 entries
+        m = PGroupModule(3, Partition((2,)))
+        assert conj_classes_aut(m, budget=54) == 6
+        with pytest.raises(BudgetExceededError, match="54 exceeds budget 53"):
+            conj_classes_aut(m, budget=53)
 
     @pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (3, 2)])
     def test_gl_class_numbers(self, n, p):
@@ -235,6 +268,28 @@ class TestSurjProb:
                     res = surj_prob(m, d, budget=2**14)
                     bound = 2 * m.size * math.log(m.size) * 2.0 ** (-d)
                     assert float(1 - res.closed_form) <= bound
+
+    @pytest.mark.parametrize("budget", [None, 2**6, 2**10, 2**14])
+    def test_all_d_call_is_the_one_d_calls(self, budget):
+        # 2^6 and 2^10 refuse |N|^d from d = 2 or 3 on, and the addition
+        # tables or lattices of the larger modules outgrow them
+        ds = range(6)
+        skips = {"space": 0, "lattice": 0}
+        for p in (2, 3):
+            for lam in partitions_up_to(4):
+                m = PGroupModule(p, lam)
+                results = surj_probs(m, ds, budget=budget)
+                assert results == [surj_prob(m, d, budget=budget) for d in ds]
+                limit = budget or 2**24
+                for r in results:
+                    if r.enumerated is None:
+                        skips["space" if r.sample_space > limit else "lattice"] += 1
+        if budget in (2**6, 2**10):
+            assert skips["space"] and skips["lattice"], skips
+
+    def test_all_d_call_refuses_negative_d(self):
+        with pytest.raises(ValueError):
+            surj_probs(PGroupModule(2, Partition((1,))), [1, -1])
 
 
 class TestGeneratingTupleCount:

@@ -9,6 +9,7 @@ from clzeta.oracle import (
     count_matrix_points,
     relation_points,
     stable_framing_stats,
+    stable_framing_stats_per_rank,
 )
 from clzeta.oracle.endomorphisms import generating_tuple_count
 from clzeta.oracle.framing import _stable_tuple_count_direct
@@ -107,6 +108,20 @@ class TestStability:
                         m, (a, b), d
                     ) == _stable_tuple_count_direct(m, (a, b), d)
 
+    @pytest.mark.parametrize("lam", [(1, 1), (2, 1)])
+    def test_all_rank_call(self, lam):
+        # the all-d call against the one-d calls for d <= 5, and for d <= 3
+        # against the per-tuple closure at every point
+        m = PGroupModule(2, Partition(lam))
+        ds = range(6)
+        per_rank = stable_framing_stats_per_rank("A*B - B*A", m, ds)
+        assert per_rank == [stable_framing_stats("A*B - B*A", m, d) for d in ds]
+        points = relation_points("A*B - B*A", m)
+        for d in range(4):
+            direct = [_stable_tuple_count_direct(m, (a, b), d) for a, b in points]
+            assert [generating_tuple_count(m, (a, b), d) for a, b in points] == direct
+            assert per_rank[d].stable == sum(direct)
+
     def test_freeness_divisibility(self):
         m = PGroupModule(2, Partition((1, 1)))
         for d in range(1, 6):
@@ -129,3 +144,5 @@ class TestInvalid:
         m = PGroupModule(2, Partition((1,)))
         with pytest.raises(ValueError):
             stable_framing_stats("A*B - B*A", m, -1)
+        with pytest.raises(ValueError):
+            stable_framing_stats_per_rank("A*B - B*A", m, [2, -1])
