@@ -9,18 +9,16 @@ an :func:`euler_product`, and every prefix supported on the powers of a
 single q is written from its coefficients at 1, q, q^2, ....  Local factors
 are series in t from :mod:`clzeta.formulas`, read at t = q^(-s).
 
-The polynomial-ring zeta is an infinite double product of shifted zetas.  It
-is assembled from finitely many literal shifted-zeta factors while the
-remaining tail of each block is resummed exactly: grouped per prime p, the
-tail's p^(-ms) coefficient is the complete homogeneous sum of a geometric
-sequence, m-fold products of p^(-j) over j >= J, which telescopes to
-p^(-Jm) / (1/p; 1/p)_m.  The L literal factors zeta(s + j - 1) of a block
-are twisted by n^(L-1), which distributes over convolution as n^c is
-completely multiplicative: they become the ints n^(L-j), are convolved on
-ints and are untwisted once.  Products loop over the sparser operand's
-nonzero support.  No numeric cutoff is involved; every coefficient of the
-returned prefix is exact.  It is checked against the local factors, which
-are the polynomial-ring series of :mod:`clzeta.formulas`.
+The polynomial-ring zeta over Z is an infinite double product of shifted
+zetas.  Each of its blocks is one multiplicative prefix
+g = prod_{j >= 0} zeta_Z(s + j), built by one Euler product whose factor at p
+is resummed exactly: its p^(-ms) coefficient is the complete homogeneous sum
+of the geometric sequence p^(-j), j >= 0, which telescopes to
+1 / (1/p; 1/p)_m.  The i-th block is g pushed to i-th powers, and the blocks
+are convolved.  Products loop over the sparser operand's nonzero support.
+No numeric cutoff is involved; every coefficient of the returned prefix is
+exact.  It is checked against the local factors, which are the
+polynomial-ring series of :mod:`clzeta.formulas`.
 """
 
 from __future__ import annotations
@@ -334,57 +332,39 @@ def local_cl_coefficient(p: int, k: int) -> Fraction:
     return dvr_polynomial_local_series(p, k + 1).coeff((k,))
 
 
-def _tail_factor(p: int, length: int, first_shift: int) -> list[Fraction]:
-    """Local factor at p of the tail block, one coefficient per p^m <= length.
-    Above sqrt(length) only 1 and p^(-first_shift) / (1 - 1/p) fit."""
+def _zeta_tower_factor(p: int, length: int) -> list[Fraction]:
+    """Local factor at p of prod_{j >= 0} zeta_Z(s + j), one coefficient per
+    p^m <= length.  Above sqrt(length) only 1 and 1 / (1 - 1/p) fit."""
     if p * p > length:
-        return [Fraction(1), Fraction(p, p**first_shift * (p - 1))]
+        return [Fraction(1), Fraction(p, p - 1)]
     r = Fraction(1, p)
-    local = euler_inverse_pochhammer(r**first_shift, r, 1, _max_exponent(p, length) + 1)
-    return _t_coefficients(local)
+    return _t_coefficients(euler_inverse_pochhammer(1, r, 1, _max_exponent(p, length) + 1))
 
 
-def _tail_block(length: int, first_shift: int) -> DirichletSeries:
-    """Exact prefix of prod_{j >= first_shift} zeta_Z(s + j).
-
-    Multiplicative; at p^m the coefficient is the complete homogeneous sum of
-    the geometric sequence p^(-first_shift), p^(-first_shift - 1), ..., which
-    resums to p^(-first_shift * m) / (1/p; 1/p)_m.
-    """
-    factors = {p: _tail_factor(p, length, first_shift) for p in arith.primes_up_to(length)}
+def _zeta_tower(length: int) -> DirichletSeries:
+    """Exact prefix of prod_{j >= 0} zeta_Z(s + j), one Euler product."""
+    factors = {p: _zeta_tower_factor(p, length) for p in arith.primes_up_to(length)}
     return euler_product(factors, length)
 
 
-def _literal_block(length: int, count: int) -> DirichletSeries:
-    """zeta_Z(s) ... zeta_Z(s + count - 1), convolved on ints twisted by n^(count - 1)."""
-    g = [1] + [0] * (length - 1)
-    for j in range(1, count + 1):
-        g = _convolve(g, [n ** (count - j) for n in range(1, length + 1)], length)
-    return DirichletSeries([Fraction(c, n ** max(count - 1, 0)) for n, c in enumerate(g, 1)])
-
-
-def polynomial_ring_cl_zeta(
-    ring: BaseRing, length: int, literal_factors: int = 4
-) -> DirichletSeries:
+def polynomial_ring_cl_zeta(ring: BaseRing, length: int) -> DirichletSeries:
     """Cohen-Lenstra zeta prefix of S[T] for a global base S (Z or F_q[T]):
     the double product over i, j >= 1 of zeta_S(i*s + j - 1).
 
-    For S = Z the i-block prod_j zeta_Z(i*s + j - 1) is built from
-    ``literal_factors`` literal shifted factors times the exact tail block,
-    then pushed to index space by s -> i*s; the blocks are convolved.  The
-    result is independent of ``literal_factors`` because the tail is resummed
-    exactly.  Only blocks with 2^i <= length can touch the window.  For
-    S = F_q[T] the product is the Feit-Fine series at t = q^(-s), supported
-    on powers of q.
+    For S = Z every i-block prod_{j >= 0} zeta_Z(i*s + j) is one prefix
+    g = prod_{j >= 0} zeta_Z(s + j) pushed to i-th powers by s -> i*s, and
+    the blocks are convolved.  g is multiplicative: grouped per prime p, its
+    p^(-ms) coefficient is the complete homogeneous sum of the geometric
+    sequence 1, 1/p, 1/p^2, ..., which resums to 1 / (1/p; 1/p)_m, so g is one
+    exact :func:`euler_product`.  Only blocks with 2^i <= length can touch
+    the window.  For S = F_q[T] the product is the Feit-Fine series at
+    t = q^(-s), supported on powers of q.
     """
-    if literal_factors < 0:
-        raise ValueError("literal_factors must be nonnegative")
     if ring.kind == "Z":
+        g = _zeta_tower(length)
         result = DirichletSeries.unit(length)
         # blocks i >= 2 live on i-th powers: multiply them before the dense i = 1
         for i in reversed(range(1, length.bit_length())):
-            size = arith.int_root(length, i)
-            g = _literal_block(size, literal_factors) * _tail_block(size, literal_factors)
             result = result * shift(g, i, 0, length=length)
         return result
     if ring.kind == "FqPoly":

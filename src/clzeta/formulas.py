@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import mobius, smallest_prime_factors
+from .arith import is_prime_power, mobius, smallest_prime_factors
 from .partitions import partitions_up_to
 from .series import INF, TruncSeries, VarSpec, inverse_pochhammer, pochhammer, qpoch_value
 
@@ -102,8 +102,8 @@ def plane_series_from_points(q: int, t_order: int) -> TruncSeries:
     product over closed points of the line of local polynomial-ring factors:
     a degree-d point contributes prod_{i,j>=1} 1/(1 - q^(d(1-j)) t^(d*i)).
     Must agree with the re-indexed closed form :func:`feit_fine_series`."""
-    if not isinstance(q, int) or q < 2:
-        raise ValueError("point counting needs an integer prime power q >= 2")
+    if not (isinstance(q, int) and is_prime_power(q)):
+        raise ValueError(f"point counting needs an integer prime power q, got {q}")
     q = _as_q(q)
     out = TruncSeries.one(_t_spec(t_order))
     d = 1

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..arith import is_prime
-from ..partitions import Partition
+from ..partitions import Partition, partitions
 from ..series import qpoch_value
 from . import budget as _budget
 from ._kernels_py import _row_reduce
@@ -286,8 +286,6 @@ def module_groupoid_count(p: int, k: int, budget: int | None = None) -> Fraction
     module types of |End| / |Aut|, both sides enumerated."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    from ..partitions import partitions
-
     total = Fraction(0)
     for lam in partitions(k):
         module = PGroupModule(p, lam)

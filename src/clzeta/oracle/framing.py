@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import budget as _budget
-from .endomorphisms import PGroupModule, _size_profile, automorphisms
+from .endomorphisms import PGroupModule, _size_profile, enumerate_endomorphisms
 from .matrix_points import _relation_pairs
 from .relations import RelationSystem, parse_relations
 
@@ -105,7 +105,7 @@ def stable_framing_stats_per_rank(
     if any(d < 0 for d in ds):
         raise ValueError("d must be nonnegative")
     points = relation_points(system, module, budget=budget)
-    aut_order = len(automorphisms(module, budget=budget))
+    aut_order = enumerate_endomorphisms(module, "invertible", budget=budget)
     profile: dict[int, int] = {}
     for A, B in points:
         for size, m in _size_profile(module, (A, B), budget).items():

@@ -18,11 +18,13 @@ from . import dirichlet as dd
 from . import formulas as fb
 from .arith import primes_up_to
 from .oracle import (
+    BudgetExceededError,
     PGroupModule,
     commuting_perm_count,
     conj_classes_aut,
     count_matrix_points,
     enumerate_endomorphisms,
+    gl_order,
     matrix_point_series,
     module_groupoid_count,
     parse_relations,
@@ -93,8 +95,6 @@ def suite_feit_fine(q_values=(2, 3), n_max=3, shards=1, budget=None) -> list[Che
     if 2 in q_values and n_max >= 3:
         formula = fb.feit_fine_series(2, 5)
         c4 = count_matrix_points("A*B - B*A", 4, 2, shards=shards, budget=budget)
-        from .oracle import gl_order
-
         checks.append(
             Check(
                 "feit-fine q=2 [t^4] strategy",
@@ -241,8 +241,6 @@ def suite_durfee_identities(k_max=5, window=20) -> list[Check]:
 # -- AC-8 -------------------------------------------------------------------
 
 def suite_aut_end(p_values=(2, 3), max_size=4, torsion_max=3, budget=None) -> list[Check]:
-    from .oracle.budget import BudgetExceededError
-
     checks = []
     for p in p_values:
         for lam in partitions_up_to(max_size):

@@ -84,6 +84,13 @@ class TestSeriesCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_dvr_poly_refuses_a_q_that_is_not_a_prime_power(self, capsys):
+        code, out, err = run(capsys, "series", "--id", "dvr-poly", "--q", "6", "--trunc", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "prime power" in err
+
     def test_unused_options_are_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["series", "--id", "line", "--q", "3", "--shards", "2"])

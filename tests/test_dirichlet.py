@@ -19,10 +19,10 @@ from clzeta.arith import (
 from clzeta.dirichlet import (
     LOCAL_K_MAX,
     _convolve,
-    _literal_block,
     _max_exponent,
     _t_coefficients,
-    _tail_factor,
+    _zeta_tower,
+    _zeta_tower_factor,
     DirichletSeries,
     NonUnitFactorError,
     UnsupportedRingError,
@@ -330,40 +330,29 @@ class TestPolynomialRingZeta:
                 assert zt[p**k] == local_cl_coefficient(p, k)
                 k += 1
 
-    def test_independent_of_literal_factor_cutoff(self):
-        # the exact tail resummation makes the literal/tail split irrelevant
-        for length in (48, 300):
-            base = polynomial_ring_cl_zeta(ring_Z(), length, literal_factors=4)
-            for j in (0, 1, 2, 7):
-                assert polynomial_ring_cl_zeta(ring_Z(), length, literal_factors=j) == base
-
-    @pytest.mark.parametrize("length", [1, 2, 3, 64, 300])
-    def test_integer_literal_block_matches_fraction_products(self, length):
-        # the n^(L-1) twist distributes over convolution, so the int product
-        # untwisted once equals the product of the shifted zetas themselves
-        zeta = dedekind_zeta(ring_Z(), length)
-        expected = DirichletSeries.unit(length)
-        for count in range(6):
-            if count:
-                expected = expected * shift(zeta, 1, count - 1)
-            assert _literal_block(length, count) == expected
+    @pytest.mark.parametrize("length", [1, 2, 3, 64, 300, 2048])
+    def test_block_satisfies_the_zeta_recursion(self, length):
+        # g = prod_{j >= 0} zeta_Z(s + j) satisfies g(s) = zeta_Z(s) g(s + 1),
+        # which fixes g from a_1 = 1
+        g = _zeta_tower(length)
+        assert g == dedekind_zeta(ring_Z(), length) * shift(g, 1, 1)
 
     def test_two_term_tail_factors_match_the_series(self):
         length = 2048
         for p in primes_up_to(length):
             r = Fraction(1, p)
-            t_order = _max_exponent(p, length) + 1
-            for first_shift in range(6):
-                series = euler_inverse_pochhammer(r**first_shift, r, 1, t_order)
-                assert _tail_factor(p, length, first_shift) == _t_coefficients(series)
+            series = euler_inverse_pochhammer(1, r, 1, _max_exponent(p, length) + 1)
+            assert _zeta_tower_factor(p, length) == _t_coefficients(series)
 
     def test_prefix_digest_is_pinned(self):
-        # sha256 of the 512 prefix's JSON, as computed by the Fraction
-        # products over every literal factor
-        text = polynomial_ring_cl_zeta(ring_Z(), 512).to_json()
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "6b0e5c11e68a4307add213a485b429ca8491c1d36780c3a432feabd1c06bd744"
-        )
+        # sha256 of the prefix's JSON at 512 and at the benchmark's 2048
+        pinned = {
+            512: "6b0e5c11e68a4307add213a485b429ca8491c1d36780c3a432feabd1c06bd744",
+            2048: "2f53ea6e5fd5040300d5e6556a2216b4e960c9f96d24e7d6027351fdd4d39cbd",
+        }
+        for length, digest in pinned.items():
+            text = polynomial_ring_cl_zeta(ring_Z(), length).to_json()
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_function_field_case_is_feit_fine(self):
         # the prefix reads the Feit-Fine closed form; compare it with the

@@ -335,3 +335,6 @@ class TestValidation:
             line_series(1, 4)
         with pytest.raises(ValueError):
             plane_series_from_points(Fraction(5, 2), 4)
+        for q in (1, 6, 12):
+            with pytest.raises(ValueError, match="prime power"):
+                plane_series_from_points(q, 4)
