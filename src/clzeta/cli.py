@@ -49,10 +49,11 @@ def _dirichlet_tsv(series: dd.DirichletSeries) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, command: dict, result, checks=None, started=None, kernel=None) -> int:
+def _emit(args, result, checks=None, started=None, kernel=None) -> int:
     elapsed_ms = round((time.monotonic() - started) * 1000.0, 3) if started else None
     failed = [c for c in (checks or []) if not c.passed]
     if args.format == "json":
+        command = {key: value for key, value in vars(args).items() if key != "func"}
         report = {"command": command, "result": result}
         if checks is not None:
             report["checks"] = [c.to_json_dict() for c in checks]
@@ -86,16 +87,6 @@ def _announce_fallback() -> None:
 
 def _cmd_series(args) -> int:
     started = time.monotonic()
-    command = {
-        "subcommand": "series",
-        "id": args.id,
-        "q": args.q,
-        "b": args.b,
-        "trunc": args.trunc,
-        "u_trunc": args.u_trunc,
-        "q_trunc": args.q_trunc,
-        "format": args.format,
-    }
     if args.id in fb.SPECIALIZED_FORMULAS:
         if args.q is None:
             raise SystemExit2("--q is required for this formula")
@@ -112,22 +103,12 @@ def _cmd_series(args) -> int:
         known = sorted(fb.SPECIALIZED_FORMULAS) + sorted(fb.FORMAL_FORMULAS)
         raise SystemExit2(f"unknown formula id {args.id!r}; known ids: {known}")
     payload = series.to_json_dict() if args.format == "json" else _series_tsv(series)
-    return _emit(args, command, payload, started=started)
+    return _emit(args, payload, started=started)
 
 
 def _cmd_oracle(args) -> int:
     started = time.monotonic()
     _announce_fallback()
-    command = {
-        "subcommand": "oracle",
-        "relations": args.relations,
-        "q": args.q,
-        "n": args.n,
-        "nmax": args.nmax,
-        "shards": args.shards,
-        "budget": args.budget,
-        "format": args.format,
-    }
     if (args.n is None) == (args.nmax is None):
         raise SystemExit2("exactly one of --n or --nmax is required")
     if args.n is not None:
@@ -140,12 +121,12 @@ def _cmd_oracle(args) -> int:
         )
         if args.format == "tsv":
             payload = f"{args.n}\t{res.value}\t1"
-        return _emit(args, command, payload, started=started, kernel=kernel_name())
+        return _emit(args, payload, started=started, kernel=kernel_name())
     series = matrix_point_series(
         args.relations, args.q, args.nmax, shards=args.shards, budget=args.budget
     )
     payload = series.to_json_dict() if args.format == "json" else _series_tsv(series)
-    return _emit(args, command, payload, started=started, kernel=kernel_name())
+    return _emit(args, payload, started=started, kernel=kernel_name())
 
 
 _RINGS = {
@@ -164,16 +145,6 @@ def _require(value, flag):
 
 def _cmd_dirichlet(args) -> int:
     started = time.monotonic()
-    command = {
-        "subcommand": "dirichlet",
-        "which": args.which,
-        "ring": args.ring,
-        "p": args.p,
-        "qparam": args.qparam,
-        "length": args.length,
-        "k": args.k,
-        "format": args.format,
-    }
     if args.which == "an-local":
         if args.p is None or args.k is None:
             raise SystemExit2("an-local needs --p and --k")
@@ -181,7 +152,7 @@ def _cmd_dirichlet(args) -> int:
         payload = {"value": f"{value.numerator}/{value.denominator}"}
         if args.format == "tsv":
             payload = f"{args.k}\t{value.numerator}\t{value.denominator}"
-        return _emit(args, command, payload, started=started)
+        return _emit(args, payload, started=started)
     ring = _RINGS[args.ring](args)
     if args.which == "zeta":
         series = dd.dedekind_zeta(ring, args.length)
@@ -192,22 +163,12 @@ def _cmd_dirichlet(args) -> int:
     else:
         raise SystemExit2(f"unknown computation {args.which!r}")
     payload = series.to_json_dict() if args.format == "json" else _dirichlet_tsv(series)
-    return _emit(args, command, payload, started=started)
+    return _emit(args, payload, started=started)
 
 
 def _cmd_verify(args) -> int:
     started = time.monotonic()
     _announce_fallback()
-    command = {
-        "subcommand": "verify",
-        "suite": args.suite,
-        "q": args.q,
-        "b": args.b,
-        "nmax": args.nmax,
-        "shards": args.shards,
-        "budget": args.budget,
-        "format": args.format,
-    }
     ac_map = {ac.lower(): suite for ac, suite in vf.ACCEPTANCE_ORDER}
     names = list(vf.SUITES) if args.suite == "all" else [ac_map.get(args.suite, args.suite)]
     given = {
@@ -233,26 +194,17 @@ def _cmd_verify(args) -> int:
         "checks": len(checks),
         "failed": sum(1 for c in checks if not c.passed),
     }
-    return _emit(
-        args, command, summary, checks=checks, started=started, kernel=kernel_name()
-    )
+    return _emit(args, summary, checks=checks, started=started, kernel=kernel_name())
 
 
 def _cmd_conj(args) -> int:
     started = time.monotonic()
-    command = {
-        "subcommand": "conj",
-        "p": args.p,
-        "type": args.type,
-        "budget": args.budget,
-        "format": args.format,
-    }
     lam = Partition(int(x) for x in args.type.split(",") if x.strip())
     value = conj_classes_aut(PGroupModule(args.p, lam), budget=args.budget)
     payload = {"classes": value}
     if args.format == "tsv":
         payload = f"{args.type}\t{value}\t1"
-    return _emit(args, command, payload, started=started)
+    return _emit(args, payload, started=started)
 
 
 class SystemExit2(Exception):

@@ -1,13 +1,16 @@
 """Formal Dirichlet series prefixes with exact rational coefficients.
 
-A prefix stores a_1..a_N of sum a_n n^(-s).  On top of the ring operations
-(convolution product and the substitution s -> m*s + n) this module builds
-the Dedekind zeta prefixes of Z, Z_p, F_q[T] and F_q[[T]], Euler products
-over primes, the Cohen-Lenstra zeta of a local base, and the Cohen-Lenstra
-zeta of a polynomial ring over Z or F_q[T].  Every multiplicative prefix is
-an :func:`euler_product`, and every prefix supported on the powers of a
-single q is written from its coefficients at 1, q, q^2, ....  Local factors
-are series in t from :mod:`clzeta.formulas`, read at t = q^(-s).
+A prefix stores a_1..a_N of sum a_n n^(-s).  As in :mod:`clzeta.series`,
+each coefficient is an ``int`` or a ``Fraction``, kept as given or as
+computed, and a float or any other type is refused with ``TypeError``.  On
+top of the ring operations (convolution product and the substitution
+s -> m*s + n) this module builds the Dedekind zeta prefixes of Z, Z_p,
+F_q[T] and F_q[[T]], Euler products over primes, the Cohen-Lenstra zeta of a
+local base, and the Cohen-Lenstra zeta of a polynomial ring over Z or F_q[T].
+Every multiplicative prefix is an :func:`euler_product`, and every prefix
+supported on the powers of a single q is written from its coefficients at 1,
+q, q^2, ....  Local factors are series in t from :mod:`clzeta.formulas`, read
+at t = q^(-s).
 
 The polynomial-ring zeta over Z is an infinite double product of shifted
 zetas.  Each of its blocks is one multiplicative prefix
@@ -35,7 +38,7 @@ from .formulas import (
     euler_inverse_pochhammer,
     feit_fine_series,
 )
-from .series import TruncSeries
+from .series import TruncSeries, _exact
 
 
 class DirichletError(Exception):
@@ -129,7 +132,7 @@ class DirichletSeries:
     __slots__ = ("_a",)
 
     def __init__(self, coeffs: Sequence):
-        a = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        a = tuple(map(_exact, coeffs))
         if not a:
             raise ValueError("length must be >= 1")
         object.__setattr__(self, "_a", a)
@@ -146,13 +149,13 @@ class DirichletSeries:
     def length(self) -> int:
         return len(self._a)
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         """1-indexed coefficient a_n."""
         if not 1 <= n <= len(self._a):
             raise IndexError(f"index {n} outside prefix 1..{len(self._a)}")
         return self._a[n - 1]
 
-    def coefficients(self) -> tuple[Fraction, ...]:
+    def coefficients(self) -> tuple[int | Fraction, ...]:
         return self._a
 
     def __eq__(self, other):
@@ -199,7 +202,7 @@ def shift(
         raise ValueError("m must be a positive integer")
     if length is None:
         length = f.length
-    out = [Fraction(0)] * length
+    out = [0] * length
     j = 1
     while j**m <= length:
         aj = f[j] if j <= f.length else None
@@ -220,16 +223,16 @@ def _max_exponent(q: int, length: int) -> int:
     return k
 
 
-def _t_coefficients(series: TruncSeries) -> list[Fraction]:
+def _t_coefficients(series: TruncSeries) -> list[int | Fraction]:
     """Every coefficient of a series in t, t^0 first."""
     return [series.coeff((k,)) for k in range(series.spec.orders[0])]
 
 
-def _at_powers(q: int, cs: Sequence[Fraction], length: int) -> DirichletSeries:
+def _at_powers(q: int, cs: Sequence[int | Fraction], length: int) -> DirichletSeries:
     """The prefix with cs[k] at q^k and zero elsewhere; ``cs`` holds one
-    Fraction for each q^k <= length."""
+    coefficient for each q^k <= length."""
     _check_length(length)
-    a = [Fraction(0)] * length
+    a = [0] * length
     for k, c in enumerate(cs):
         a[q**k - 1] = c
     return DirichletSeries(a)
@@ -242,16 +245,16 @@ def dedekind_zeta(ring: BaseRing, length: int) -> DirichletSeries:
     polynomials of degree k).  FqPowerSeries: 1 at powers of q.
     """
     if ring.kind == "Z":
-        return DirichletSeries([Fraction(1)] * length)
+        return DirichletSeries([1] * length)
     q = ring.param
     kmax = _max_exponent(q, length)
     if ring.kind == "FqPoly":
-        return _at_powers(q, [Fraction(q**k) for k in range(kmax + 1)], length)
-    return _at_powers(q, [Fraction(1)] * (kmax + 1), length)
+        return _at_powers(q, [q**k for k in range(kmax + 1)], length)
+    return _at_powers(q, [1] * (kmax + 1), length)
 
 
 def euler_product(
-    factors: Mapping[int, Sequence[Fraction]], length: int
+    factors: Mapping[int, Sequence[int | Fraction]], length: int
 ) -> DirichletSeries:
     """Product over primes of local factors given in p^(-s).
 
@@ -261,24 +264,24 @@ def euler_product(
     coefficients along the factorization of n.
     """
     _check_length(length)
-    locals_: dict[int, list[Fraction]] = {}
+    locals_: dict[int, list[int | Fraction]] = {}
     for p, cs in factors.items():
         if not arith.is_prime(p):
             raise ValueError(f"Euler factor index {p} is not prime")
-        cs = [Fraction(c) for c in cs]
+        cs = list(map(_exact, cs))
         if not cs or cs[0] != 1:
             raise NonUnitFactorError(f"local factor at {p} does not start with 1")
         locals_[p] = cs
     spf = arith.smallest_prime_factors(length)
-    out = [Fraction(0)] * length
-    out[0] = Fraction(1)
+    out = [0] * length
+    out[0] = 1
     for n in range(2, length + 1):
-        val = Fraction(1)
+        val = 1
         for p, e in arith.factorize(n, spf):
             cs = locals_.get(p)
             if cs is None:
                 # an absent prime acts as the unit factor, killing a_{p^e}
-                val = Fraction(0)
+                val = 0
                 break
             if e >= len(cs):
                 raise ValueError(f"local factor at {p} too short for exponent {e}")
@@ -332,11 +335,11 @@ def local_cl_coefficient(p: int, k: int) -> Fraction:
     return dvr_polynomial_local_series(p, k + 1).coeff((k,))
 
 
-def _zeta_tower_factor(p: int, length: int) -> list[Fraction]:
+def _zeta_tower_factor(p: int, length: int) -> list[int | Fraction]:
     """Local factor at p of prod_{j >= 0} zeta_Z(s + j), one coefficient per
     p^m <= length.  Above sqrt(length) only 1 and 1 / (1 - 1/p) fit."""
     if p * p > length:
-        return [Fraction(1), Fraction(p, p - 1)]
+        return [1, Fraction(p, p - 1)]
     r = Fraction(1, p)
     return _t_coefficients(euler_inverse_pochhammer(1, r, 1, _max_exponent(p, length) + 1))
 

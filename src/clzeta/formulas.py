@@ -21,16 +21,15 @@ from fractions import Fraction
 
 from .arith import is_prime_power, mobius, smallest_prime_factors
 from .partitions import partitions_up_to
-from .series import INF, TruncSeries, VarSpec, inverse_pochhammer, pochhammer, qpoch_value
+from .series import INF, TruncSeries, VarSpec, _exact, inverse_pochhammer, pochhammer, qpoch_value
 
 
 def _t_spec(t_order: int) -> VarSpec:
     return VarSpec(("t",), (t_order,))
 
 
-def _as_q(q) -> Fraction:
-    q = Fraction(q)
-    if q <= 1:
+def _as_q(q):
+    if _exact(q) <= 1:
         raise ValueError("q must exceed 1")
     return q
 
@@ -42,7 +41,7 @@ def euler_inverse_pochhammer(c: Fraction, r: Fraction, step: int, t_order: int) 
     coeffs = {}
     m = 0
     while step * m < t_order:
-        coeffs[(step * m,)] = Fraction(c) ** m / qpoch_value(r, r, m)
+        coeffs[(step * m,)] = c**m / qpoch_value(r, r, m)
         m += 1
     return TruncSeries(spec, coeffs)
 
@@ -50,8 +49,6 @@ def euler_inverse_pochhammer(c: Fraction, r: Fraction, step: int, t_order: int) 
 def pochhammer_inf_specialized(c: Fraction, r: Fraction, t_order: int) -> TruncSeries:
     """(c*t; r)_infinity as a series in t, via Euler's second identity: the
     t^m coefficient is (-c)^m r^(m(m-1)/2) / (r; r)_m."""
-    c = Fraction(c)
-    r = Fraction(r)
     coeffs = {
         (m,): (-c) ** m * r ** (m * (m - 1) // 2) / qpoch_value(r, r, m)
         for m in range(t_order)
@@ -61,8 +58,7 @@ def pochhammer_inf_specialized(c: Fraction, r: Fraction, t_order: int) -> TruncS
 
 def line_series(q, t_order: int) -> TruncSeries:
     """Module count series of the affine line: prod_{j>=0} 1/(1 - t q^-j)."""
-    q = _as_q(q)
-    return euler_inverse_pochhammer(Fraction(1), 1 / q, 1, t_order)
+    return euler_inverse_pochhammer(1, Fraction(1, _as_q(q)), 1, t_order)
 
 
 def fat_line_series(b: int, q, t_order: int) -> TruncSeries:
@@ -70,22 +66,20 @@ def fat_line_series(b: int, q, t_order: int) -> TruncSeries:
     prod_{i=1..b} prod_{j>=0} 1/(1 - t^i q^-j)."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    q = _as_q(q)
-    r = 1 / q
+    r = Fraction(1, _as_q(q))
     out = TruncSeries.one(_t_spec(t_order))
     for i in range(1, b + 1):
-        out = out * euler_inverse_pochhammer(Fraction(1), r, i, t_order)
+        out = out * euler_inverse_pochhammer(1, r, i, t_order)
     return out
 
 
 def dvr_polynomial_local_series(q, t_order: int) -> TruncSeries:
     """Module count series of a polynomial ring over a local base with
     residue cardinality q: prod_{i>=1, j>=1} 1/(1 - q^(1-j) t^i)."""
-    q = _as_q(q)
-    r = 1 / q
+    r = Fraction(1, _as_q(q))
     out = TruncSeries.one(_t_spec(t_order))
     for i in range(1, t_order):
-        out = out * euler_inverse_pochhammer(Fraction(1), r, i, t_order)
+        out = out * euler_inverse_pochhammer(1, r, i, t_order)
     return out
 
 
@@ -104,7 +98,6 @@ def plane_series_from_points(q: int, t_order: int) -> TruncSeries:
     Must agree with the re-indexed closed form :func:`feit_fine_series`."""
     if not (isinstance(q, int) and is_prime_power(q)):
         raise ValueError(f"point counting needs an integer prime power q, got {q}")
-    q = _as_q(q)
     out = TruncSeries.one(_t_spec(t_order))
     d = 1
     while d < t_order:
@@ -112,9 +105,9 @@ def plane_series_from_points(q: int, t_order: int) -> TruncSeries:
         local = TruncSeries.one(_t_spec(t_order))
         i = 1
         while d * i < t_order:
-            local = local * euler_inverse_pochhammer(Fraction(1), 1 / qd, d * i, t_order)
+            local = local * euler_inverse_pochhammer(1, Fraction(1, qd), d * i, t_order)
             i += 1
-        out = out * local ** count_irreducibles(int(q), d)
+        out = out * local ** count_irreducibles(q, d)
         d += 1
     return out
 
@@ -122,8 +115,7 @@ def plane_series_from_points(q: int, t_order: int) -> TruncSeries:
 def feit_fine_series(q, t_order: int) -> TruncSeries:
     """Commuting-pair series of the affine plane:
     prod_{i>=1, j>=1} 1/(1 - t^i q^(2-j))."""
-    q = _as_q(q)
-    r = 1 / q
+    r = Fraction(1, _as_q(q))
     out = TruncSeries.one(_t_spec(t_order))
     for i in range(1, t_order):
         out = out * euler_inverse_pochhammer(q, r, i, t_order)
@@ -135,8 +127,7 @@ def rank_series_at_powers(b: int, q, t_order: int) -> TruncSeries:
     sum_k r^(k^2) t^((b+1)k) / ((r; r)_k (t r; r)_k) with r = 1/q."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    q = _as_q(q)
-    r = 1 / q
+    r = Fraction(1, _as_q(q))
     spec = _t_spec(t_order)
     out = TruncSeries.zero(spec)
     k = 0
@@ -158,8 +149,7 @@ def normalized_rank_series_at_powers(b: int, q, t_order: int) -> TruncSeries:
     sum_k r^(k^2) t^((b+1)k) / (r; r)_k * (t r^(k+1); r)_infinity."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    q = _as_q(q)
-    r = 1 / q
+    r = Fraction(1, _as_q(q))
     spec = _t_spec(t_order)
     out = TruncSeries.zero(spec)
     k = 0

@@ -1,9 +1,11 @@
 """Exact truncated power series in the formal variables t, u, q.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``);
-there is no floating point anywhere.  Truncation is an exclusive bound per
-variable and every operation truncates eagerly, so a series is always exact
-on its stated window.
+Coefficients are ``int`` or ``fractions.Fraction``, as computed: ring
+operations on ``int`` coefficients keep ``int``, and only a division makes
+a ``Fraction``, so :meth:`TruncSeries.coeff` may return either.  Floats and
+every other type are refused with ``TypeError``.  Truncation is an
+exclusive bound per variable and every operation truncates eagerly, so a
+series is always exact on its stated window.
 """
 
 from __future__ import annotations
@@ -44,11 +46,10 @@ class DivergentProductError(SeriesError):
     """Infinite Pochhammer product of a series with nonzero constant term."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _exact(x):
+    """``x`` unchanged if it is an ``int`` or a ``Fraction``; TypeError otherwise."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -131,8 +132,10 @@ class TruncSeries:
 
     __slots__ = ("spec", "_coeffs")
 
-    def __init__(self, spec: VarSpec, coeffs: Mapping[tuple[int, ...], Fraction] | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
+    def __init__(
+        self, spec: VarSpec, coeffs: Mapping[tuple[int, ...], int | Fraction] | None = None
+    ):
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         if coeffs:
             nvars = len(spec.names)
             for exps, c in coeffs.items():
@@ -141,10 +144,7 @@ class TruncSeries:
                     raise ValueError(f"exponent vector {exps} has wrong arity")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                if not spec.in_window(exps):
-                    continue
-                c = _as_fraction(c)
-                if c:
+                if _exact(c) and spec.in_window(exps):
                     clean[exps] = c
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "_coeffs", clean)
@@ -154,7 +154,8 @@ class TruncSeries:
         """A series that takes ``clean`` as its store without checking it.
 
         Only for ring operations whose output already holds nothing but
-        nonzero :class:`Fraction` values at in-window exponent vectors.
+        nonzero ``int`` or :class:`Fraction` values at in-window exponent
+        vectors.
         """
         out = object.__new__(cls)
         object.__setattr__(out, "spec", spec)
@@ -176,11 +177,11 @@ class TruncSeries:
 
     @classmethod
     def constant(cls, spec: VarSpec, value) -> "TruncSeries":
-        return cls(spec, {(0,) * len(spec.names): _as_fraction(value)})
+        return cls(spec, {(0,) * len(spec.names): value})
 
     @classmethod
     def monomial(cls, spec: VarSpec, exps: Iterable[int], coeff=1) -> "TruncSeries":
-        return cls(spec, {tuple(exps): _as_fraction(coeff)})
+        return cls(spec, {tuple(exps): coeff})
 
     @classmethod
     def variable(cls, spec: VarSpec, name: str) -> "TruncSeries":
@@ -197,10 +198,10 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def constant_term(self) -> Fraction:
-        return self._coeffs.get((0,) * len(self.spec.names), Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self._coeffs.get((0,) * len(self.spec.names), 0)
 
-    def coeff(self, exps: Iterable[int]) -> Fraction:
+    def coeff(self, exps: Iterable[int]) -> int | Fraction:
         """Coefficient at an exponent vector inside the window.
 
         Raises :class:`OutOfWindowError` for exponents at or beyond the
@@ -209,7 +210,7 @@ class TruncSeries:
         exps = self._exponents(exps)
         if not self.spec.in_window(exps):
             raise OutOfWindowError(f"{exps} outside window {self.spec!r}")
-        return self._coeffs.get(exps, Fraction(0))
+        return self._coeffs.get(exps, 0)
 
     def _exponents(self, exps: Iterable[int]) -> tuple[int, ...]:
         exps = tuple(int(e) for e in exps)
@@ -258,7 +259,7 @@ class TruncSeries:
         self._check_spec(other)
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -282,10 +283,10 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            k = _as_fraction(other)
-            if not k:
+            if not other:
                 return TruncSeries.zero(self.spec)
-            return TruncSeries._trusted(self.spec, {e: c * k for e, c in self._coeffs.items()})
+            out = {e: c * other for e, c in self._coeffs.items()}
+            return TruncSeries._trusted(self.spec, out)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_spec(other)
@@ -300,7 +301,7 @@ class TruncSeries:
 
     def _mul_sparse(self, other: "TruncSeries") -> "TruncSeries":
         orders = self.spec.orders
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         a, b = self._coeffs, other._coeffs
         if len(a) > len(b):
             a, b = b, a
@@ -323,13 +324,13 @@ class TruncSeries:
         orders = self.spec.orders
         strides, size = _strides(orders)
         exps_of = list(self.spec.iter_window())
-        flat_a = [Fraction(0)] * size
-        flat_b = [Fraction(0)] * size
+        flat_a = [0] * size
+        flat_b = [0] * size
         for e, c in self._coeffs.items():
             flat_a[sum(x * st for x, st in zip(e, strides))] = c
         for e, c in other._coeffs.items():
             flat_b[sum(x * st for x, st in zip(e, strides))] = c
-        out = [Fraction(0)] * size
+        out = [0] * size
         for ia, ca in enumerate(flat_a):
             if not ca:
                 continue
@@ -363,12 +364,12 @@ class TruncSeries:
         a0 = self.constant_term()
         if not a0:
             raise NotInvertibleError("constant term is zero")
-        inv_a0 = 1 / a0
+        inv_a0 = Fraction(1, a0)
         zero_vec = (0,) * len(self.spec.names)
         supp = [(e, c) for e, c in self._coeffs.items() if e != zero_vec]
         out: dict[tuple[int, ...], Fraction] = {}
         for e in self.spec.iter_window():
-            acc = Fraction(1) if e == zero_vec else Fraction(0)
+            acc = 1 if e == zero_vec else 0
             for f, cf in supp:
                 g = tuple(x - y for x, y in zip(e, f))
                 if any(x < 0 for x in g):
@@ -390,7 +391,7 @@ class TruncSeries:
         exps = self._exponents(exps)
         if not any(exps):
             raise ValueError("dividing by 1 - c needs a nonzero exponent vector")
-        return self._divide_by_binomials([(_as_fraction(c), exps)])
+        return self._divide_by_binomials([(_exact(c), exps)])
 
     def _divide_by_binomials(self, factors) -> "TruncSeries":
         # All divisions run on one flat mixed-radix array.  A cell e >= m sits
@@ -419,7 +420,7 @@ class TruncSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / _as_fraction(other))
+            return self * Fraction(1, other)
         if isinstance(other, TruncSeries):
             return self * other.inverse()
         return NotImplemented
@@ -428,13 +429,13 @@ class TruncSeries:
 
     def specialize(self, var: str, value) -> "TruncSeries":
         """Substitute an exact rational for one variable and re-collect."""
-        value = _as_fraction(value)
+        value = _exact(value)
         i = self.spec.index(var)
         new_spec = self.spec.drop(var)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for e, c in self._coeffs.items():
             ne = e[:i] + e[i + 1 :]
-            s = out.get(ne, Fraction(0)) + c * value**e[i]
+            s = out.get(ne, 0) + c * value**e[i]
             if s:
                 out[ne] = s
             else:
@@ -521,12 +522,12 @@ def inverse_pochhammer(a: TruncSeries, qvar: str, n) -> TruncSeries:
 
 
 def qpoch_value(a: Fraction, r: Fraction, n: int) -> Fraction:
-    """Rational value of the finite Pochhammer (a;r)_n = prod_{k<n}(1 - a*r^k)."""
-    a = _as_fraction(a)
-    r = _as_fraction(r)
-    out = Fraction(1)
-    cur = a
+    """Rational value of the finite Pochhammer (a;r)_n = prod_{k<n}(1 - a*r^k),
+    always a ``Fraction``, since callers divide by it."""
+    out = 1
+    cur = _exact(a)
+    r = _exact(r)
     for _ in range(n):
         out *= 1 - cur
         cur *= r
-    return out
+    return Fraction(out)

@@ -11,6 +11,7 @@ sides.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -206,16 +207,14 @@ def suite_durfee_identities(k_max=5, window=20) -> list[Check]:
     qspec = VarSpec(("q",), (window,))
     qv = TruncSeries.variable(qspec, "q")
     for k in range(k_max + 1):
-        lhs = TruncSeries.zero(qspec)
-        for lam in partitions_up_to(window - 1, max_len=k):
-            lhs = lhs + TruncSeries.monomial(qspec, (lam.size,))
+        parts = partitions_up_to(window - 1, max_len=k)
+        lhs = TruncSeries(qspec, Counter((lam.size,) for lam in parts))
         rhs = inverse_pochhammer(qv, "q", k)
         checks.append(_series_eq(f"durfee (i): length<={k} vs 1/(q;q)_{k}", lhs, rhs))
 
     tqspec = VarSpec(("t", "q"), (window, window))
-    lhs = TruncSeries.zero(tqspec)
-    for lam in partitions_up_to(window - 1):
-        lhs = lhs + TruncSeries.monomial(tqspec, (lam.length, lam.size))
+    parts = partitions_up_to(window - 1)
+    lhs = TruncSeries(tqspec, Counter((lam.length, lam.size) for lam in parts))
     tq = TruncSeries.monomial(tqspec, (1, 1))
     rhs = inverse_pochhammer(tq, "q", INF)
     checks.append(
@@ -224,9 +223,8 @@ def suite_durfee_identities(k_max=5, window=20) -> list[Check]:
 
     for k in range(k_max + 1):
         for l in range(k_max + 1):
-            lhs = TruncSeries.zero(qspec)
-            for lam in partitions_up_to(window - 1, max_part=k, max_len=l):
-                lhs = lhs + TruncSeries.monomial(qspec, (lam.size,))
+            parts = partitions_up_to(window - 1, max_part=k, max_len=l)
+            lhs = TruncSeries(qspec, Counter((lam.size,) for lam in parts))
             rhs = (
                 pochhammer(qv, "q", k + l)
                 * inverse_pochhammer(qv, "q", k)

@@ -1,6 +1,7 @@
 """Command-line contracts: payload schemas, determinism, exit codes."""
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import clzeta
 from clzeta import verify
 from clzeta.cli import build_parser, main
+from clzeta.formulas import rank_series_hypergeometric
 from clzeta.oracle import kernel_name
 from clzeta.verify import Check
 
@@ -566,3 +568,63 @@ class TestVerifyCommand:
         assert received == {
             name: {"q_values": (3,)} if name in takes_q else {} for name in verify.SUITES
         }
+
+
+def answer_digest(report):
+    """sha256 of a report's exact answer: the checks and verdict of verify,
+    the result payload of every other command."""
+    if report["command"]["subcommand"] == "verify":
+        checks = [[c["name"], c["passed"], c["lhs"], c["rhs"]] for c in report["checks"]]
+        answer = {"verdict": report["verdict"], "checks": checks}
+    else:
+        answer = report["result"]
+    return hashlib.sha256(json.dumps(answer, sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedAnswers:
+    """Answers recorded while every coefficient was stored as a Fraction; an
+    int store must print them unchanged."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("series", "--id", "rank-series-hyper", "--trunc", "12",
+                 "--u-trunc", "12", "--q-trunc", "40"),
+                "080cacb33f622461367ce33e4abc2bb47b8eaf5001535ce4dcaa6a9dff6cd64a",
+            ),
+            (
+                ("verify", "--suite", "durfee"),
+                "788a1c7a306767b0e4315679fdf67058bace99c1119208597efe6aa9e6d6e186",
+            ),
+        ],
+    )
+    def test_answer_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert answer_digest(json.loads(out)) == digest
+
+    def test_integer_series_store_only_int(self):
+        series = rank_series_hypergeometric(6, 6, 12)
+        assert series.terms()
+        assert all(type(c) is int for _, c in series.terms())
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (("series", "--id", "line", "--q", "2"),
+         ["subcommand", "id", "q", "b", "trunc", "u_trunc", "q_trunc", "format"]),
+        (("oracle", "--relations", "A*B - B*A", "--q", "2", "--n", "1"),
+         ["subcommand", "relations", "q", "n", "nmax", "shards", "budget", "format"]),
+        (("dirichlet", "--which", "zeta", "--length", "4"),
+         ["subcommand", "which", "ring", "p", "qparam", "length", "k", "format"]),
+        (("verify", "--suite", "euler"),
+         ["subcommand", "suite", "q", "b", "nmax", "shards", "budget", "format"]),
+        (("conj", "--p", "2", "--type", "1"), ["subcommand", "p", "type", "budget", "format"]),
+    ],
+)
+def test_report_echoes_every_option(capsys, argv, keys):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert sorted(json.loads(out)["command"]) == sorted(keys)

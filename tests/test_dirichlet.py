@@ -147,13 +147,17 @@ class TestMul:
 
 
 class TestConstructor:
-    def test_exact_fractions_are_kept_and_others_converted(self):
+    def test_values_are_kept_as_given_and_inexact_ones_refused(self):
         x = Fraction(2, 3)
-        f = DirichletSeries([x, 1, "1/3", 0.5])
+        f = DirichletSeries([x, 1, Fraction(1, 3)])
         assert f.coefficients()[0] is x
-        assert f.coefficients() == (x, 1, Fraction(1, 3), Fraction(1, 2))
-        assert all(type(c) is Fraction for c in f.coefficients())
+        assert [type(c) for c in f.coefficients()] == [Fraction, int, Fraction]
         assert DirichletSeries(iter([1, 2])).coefficients() == (1, 2)
+        for bad in (0.1, 1.0, "1/3"):
+            with pytest.raises(TypeError):
+                DirichletSeries([1, bad])
+            with pytest.raises(TypeError):
+                euler_product({2: [1, bad]}, 3)
 
     def test_empty_prefix_is_refused(self):
         with pytest.raises(ValueError):

@@ -398,3 +398,69 @@ def test_ring_operations_store_clean_results(data):
         var = data.draw(st.sampled_from(spec.names))
         assert_clean(a.specialize(var, data.draw(rationals)))
     assert_clean(a.divide_by_binomial(data.draw(rationals), data.draw(nonzero_exps(spec))))
+
+
+# -- int coefficients stay int until a division --------------------------------
+
+nonzero_ints = st.integers(-4, 4).filter(bool)
+
+
+@st.composite
+def int_series_on(draw, spec, dense):
+    """Nonzero int coefficients on every cell when ``dense``, else on at most
+    half of them, so ``dense`` decides the side of the density switch."""
+    cells = list(spec.iter_window())
+    if not dense:
+        cells = draw(st.lists(st.sampled_from(cells), max_size=len(cells) // 2, unique=True))
+    return TruncSeries(spec, {e: draw(nonzero_ints) for e in cells})
+
+
+def as_fractions(s):
+    return TruncSeries(s.spec, {e: Fraction(c) for e, c in s._coeffs.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_int_store_matches_fraction_store(data):
+    spec = data.draw(windows())
+    dense = data.draw(st.booleans())
+    a = data.draw(int_series_on(spec, dense))
+    b = data.draw(int_series_on(spec, dense))
+    assert (a.density() > 0.5) == (b.density() > 0.5) == dense
+    fa, fb = as_fractions(a), as_fractions(b)
+    n = data.draw(st.integers(0, 3))
+    c = data.draw(nonzero_ints)
+    m = data.draw(nonzero_exps(spec))
+    pairs = [
+        (a * b, fa * fb),
+        (a + b, fa + fb),
+        (a - b, fa - fb),
+        (a**n, fa**n),
+        (a * c, fa * c),
+        (a.divide_by_binomial(c, m), fa.divide_by_binomial(c, m)),
+    ]
+    if len(spec.names) > 1:
+        var = data.draw(st.sampled_from(spec.names))
+        v = data.draw(st.integers(-3, 3))
+        pairs.append((a.specialize(var, v), fa.specialize(var, v)))
+    for r, fr in pairs:
+        assert r == fr
+        assert all(type(x) is int for x in r._coeffs.values())
+    unit = a + (c - a.constant_term())
+    assert unit.inverse() == as_fractions(unit).inverse()
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1/3"])
+def test_inexact_coefficients_are_refused(bad):
+    builds = (
+        lambda: TruncSeries(T10, {(1,): bad}),
+        lambda: TruncSeries(T10, {(20,): bad}),
+        lambda: TruncSeries.monomial(T10, (1,), bad),
+        lambda: TruncSeries.one(T10) * bad,
+        lambda: TruncSeries.one(T10).divide_by_binomial(bad, (1,)),
+        lambda: TruncSeries.one(TQ).specialize("q", bad),
+        lambda: qpoch_value(Fraction(1, 2), bad, 2),
+    )
+    for build in builds:
+        with pytest.raises(TypeError):
+            build()
